@@ -19,7 +19,7 @@
 //! multi-threaded client fleet (still compiled by `cargo bench --no-run`
 //! in CI).
 
-use experiments::serve::{app_to_json, client_exchange, Durability, Server};
+use experiments::serve::{app_to_json, Client, Durability, Server};
 use minijson::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -112,7 +112,9 @@ fn run_once(durability: Durability, rep: usize) -> f64 {
     });
     let elapsed = started.elapsed();
 
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .expect("shutdown");
     handle.join().expect("server thread");
     if let Some(dir) = dir {
         std::fs::remove_dir_all(dir).ok();

@@ -11,7 +11,6 @@
 //!
 //! cosched serve --addr 127.0.0.1:7878       # line-delimited JSON over TCP
 //! cosched serve --workers 4                 # shard instances over 4 sessions
-//! cosched serve --reactor on|off|auto       # event-loop vs threaded front-end
 //! cosched serve --smoke [--workers N] [--strategy NAME]  # loopback test
 //! cosched serve --smoke-fanin [--connections N]  # 300-connection fan-in test
 //! cosched serve --durability log --wal-dir DIR   # snapshot + write-ahead log
@@ -22,6 +21,7 @@
 //! cosched client --addr 127.0.0.1:7878 --send '{"op":"list"}'
 //! cosched client --addr 127.0.0.1:7878      # requests from stdin
 //! cosched client --requests trace.jsonl     # replay a file, pipelined
+//! cosched client --requests trace.jsonl --stats  # …plus client latency
 //! cosched client --requests trace.jsonl --batch  # …as one batch op
 //! cosched client --frame binary             # length-prefixed frame codec
 //! cosched client --retries N                # backoff on refused connects
@@ -45,8 +45,10 @@
 //! `serve` fronts long-lived [`coschedule::session::Session`]s with the
 //! create/mutate/solve/stats/list/metrics protocol of
 //! [`experiments::serve`] — `--workers N` shards instances across N
-//! per-worker sessions with multiplexed connections (`--workers 1` is the
-//! deterministic sequential server); `client` is the matching
+//! per-worker sessions, one event-loop reactor per shard carrying the
+//! multiplexed connections (`--workers 1` is the deterministic
+//! sequential server, and the default where the platform has no epoll);
+//! `client` is the matching
 //! line-oriented driver for scripting, with `--requests FILE` replaying a
 //! newline-delimited JSON trace pipelined.
 
@@ -57,10 +59,8 @@ use coschedule::obs;
 use coschedule::solver::{self, Instance, Portfolio, SolveCtx};
 use experiments::appcsv::parse_applications;
 use experiments::serve::{
-    available_workers, client_exchange, client_exchange_framed_with_retries,
-    client_exchange_with_retries, connect_with_retries, pipelined_exchange_framed_with_retries,
-    pipelined_exchange_stats, smoke_script, smoke_script_for, wal, Durability, FrameMode,
-    ReactorMode, Server, Standby, DEFAULT_CLIENT_RETRIES,
+    available_workers, smoke_script, smoke_script_for, wal, Client, Durability, ExchangeStats,
+    FrameMode, Server, Standby, DEFAULT_CLIENT_RETRIES,
 };
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -304,8 +304,8 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: cosched <apps.csv | --demo | --list-strategies> [--procs N] [--cache-gb G] \
          [--ways W] [--seed S] [--strategy NAME] [--eval-stats]\n\
-         \x20      cosched serve [--addr HOST:PORT] [--workers N] [--reactor on|off|auto] \
-         [--strategy NAME] [--tuner-window N] [--allow-shutdown] \
+         \x20      cosched serve [--addr HOST:PORT] [--workers N] [--strategy NAME] \
+         [--tuner-window N] [--allow-shutdown] \
          [--durability none|log|fsync] [--wal-dir DIR] [--restore DIR] [--snapshot-every N] \
          [--trace] [--trace-out FILE] [--metrics-addr HOST:PORT] [--slow-ms N] \
          [--smoke] [--smoke-recover] [--smoke-fanin [--connections N]] [--smoke-trace]\n\
@@ -346,7 +346,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     let mut wal_dir: Option<PathBuf> = None;
     let mut restore = false;
     let mut snapshot_every: Option<u64> = None;
-    let mut reactor = ReactorMode::Auto;
     let mut tuner_window = 0u64;
     let mut trace = false;
     let mut trace_out: Option<PathBuf> = None;
@@ -363,11 +362,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
             "--workers" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => workers = Some(n),
                 _ => return usage("--workers expects an integer >= 1"),
-            },
-            "--reactor" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(mode)) => reactor = mode,
-                Some(Err(e)) => return usage(&e),
-                None => return usage("--reactor expects on, off, or auto"),
             },
             "--strategy" => match iter.next() {
                 // Validated through the registry now, so a typo fails at
@@ -431,10 +425,10 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         return serve_smoke_recover(workers.unwrap_or(4), strategy.as_deref());
     }
     if smoke_fanin {
-        return serve_smoke_fanin(workers.unwrap_or(4), reactor, connections);
+        return serve_smoke_fanin(workers.unwrap_or(4), connections);
     }
     if smoke_trace {
-        return serve_smoke_trace(workers.unwrap_or(4), reactor);
+        return serve_smoke_trace(workers.unwrap_or(4));
     }
     if smoke {
         addr = "127.0.0.1:0".to_string();
@@ -457,7 +451,6 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     };
     server.config_mut().allow_shutdown = allow_shutdown;
     server.config_mut().workers = workers;
-    server.config_mut().reactor = reactor;
     server.config_mut().durability = durability;
     server.config_mut().wal_dir = wal_dir.clone();
     server.config_mut().restore = restore;
@@ -531,7 +524,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         Some(name) => smoke_script_for(name, name),
         None => smoke_script(),
     };
-    let responses = match client_exchange(local, &script) {
+    let responses = match Client::default().exchange(local, &script) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("smoke client failed: {e}");
@@ -693,7 +686,7 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
         .chain(std::iter::once(&shutdown_line))
         .cloned()
         .collect();
-    let reference = match client_exchange(reference_addr, &full) {
+    let reference = match Client::default().exchange(reference_addr, &full) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("smoke-recover: reference run failed: {e}");
@@ -724,7 +717,8 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
             dir_arg.clone(),
         ])?;
         println!("# smoke-recover: primary on {addr}, {workers} workers, wal in {dir_arg}");
-        let first = client_exchange(&*addr, &before)
+        let first = Client::default()
+            .exchange(&*addr, &before)
             .map_err(|e| format!("pre-crash exchange failed: {e}"))?;
         for (got, want) in first.iter().zip(&reference) {
             if got != want {
@@ -749,7 +743,12 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
             "--allow-shutdown".into(),
         ])?;
         println!("# smoke-recover: restored server on {addr}");
-        let rest = client_exchange_with_retries(&*addr, &after, 10)
+        let restored = Client {
+            retries: 10,
+            ..Client::default()
+        };
+        let rest = restored
+            .exchange(&*addr, &after)
             .map_err(|e| format!("post-restore exchange failed: {e}"))?;
         let mut mismatches = 0;
         for ((request, got), want) in after.iter().zip(&rest).zip(&reference[before.len()..]) {
@@ -760,7 +759,7 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
                 mismatches += 1;
             }
         }
-        let _ = client_exchange(&*addr, std::slice::from_ref(&shutdown_line));
+        let _ = Client::default().exchange(&*addr, std::slice::from_ref(&shutdown_line));
         let _ = child.wait();
         if mismatches > 0 {
             return Err(format!(
@@ -792,9 +791,8 @@ fn serve_smoke_recover(workers: usize, strategy: Option<&str>) -> ExitCode {
 /// server stays responsive while the fan-in grows), then asserts via
 /// `metrics` that every connection is registered **concurrently** — the
 /// per-shard `open_connections` gauges must sum to at least the fan-in.
-/// A thread-per-connection front-end would need one OS thread per socket
-/// here; the reactor serves them all on `workers` threads.
-fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -> ExitCode {
+/// The reactors serve them all on `workers` threads.
+fn serve_smoke_fanin(workers: usize, connections: usize) -> ExitCode {
     use std::io::{BufRead as _, BufReader, Write as _};
 
     let mut server = match Server::bind("127.0.0.1:0") {
@@ -806,20 +804,21 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
     };
     server.config_mut().allow_shutdown = true;
     server.config_mut().workers = workers;
-    server.config_mut().reactor = reactor;
     let addr = server.local_addr().expect("bound listener has an address");
     let handle = std::thread::spawn(move || server.run());
-    println!(
-        "# smoke-fanin: {connections} connections against {addr} \
-         ({workers} workers, reactor {reactor})"
-    );
+    println!("# smoke-fanin: {connections} connections against {addr} ({workers} workers)");
+    let client = Client {
+        retries: DEFAULT_CLIENT_RETRIES,
+        ..Client::default()
+    };
 
     let result = (|| -> Result<(), String> {
         let mut idle = Vec::with_capacity(connections);
         for k in 0..connections {
             // The listener backlog is finite; retry with backoff instead
             // of assuming every connect lands on the first try.
-            let stream = connect_with_retries(addr, DEFAULT_CLIENT_RETRIES)
+            let stream = client
+                .connect(addr)
                 .map_err(|e| format!("connect #{k} failed: {e}"))?;
             if k % 16 == 0 {
                 (&stream)
@@ -842,7 +841,8 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
 
         // One extra control connection reads the gauges while every idle
         // connection is still open.
-        let metrics = client_exchange(addr, &[r#"{"op":"metrics"}"#.to_string()])
+        let metrics = client
+            .exchange(addr, &[r#"{"op":"metrics"}"#.to_string()])
             .map_err(|e| format!("metrics exchange failed: {e}"))?;
         let v = minijson::Json::parse(&metrics[0])
             .map_err(|e| format!("unparseable metrics: {e} in {}", metrics[0]))?;
@@ -855,13 +855,12 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
             .filter_map(|row| row.get("open_connections").and_then(minijson::Json::as_u64))
             .collect();
         if gauges.is_empty() {
-            // The threaded / sequential front-ends report no net columns;
-            // the responsiveness checks above still ran.
-            println!(
-                "# smoke-fanin: no reactor gauges (front-end is not the reactor); \
-                 {connections} connections exchanged fine"
-            );
-            return Ok(());
+            // Every sharded server runs on the reactors, which always
+            // report their gauges; only the sequential server has none.
+            return Err(format!(
+                "metrics carry no open_connections gauges (is --workers >= 2?): {}",
+                metrics[0]
+            ));
         }
         let open: u64 = gauges.iter().sum();
         println!(
@@ -878,8 +877,9 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
 
     // Closing the idle sockets happens when `idle` drops inside the
     // closure; the server then just needs the shutdown line.
-    let shutdown =
-        client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).map_err(|e| e.to_string());
+    let shutdown = client
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .map_err(|e| e.to_string());
     let run = handle.join();
     match (result, shutdown, run) {
         (Ok(()), Ok(_), Ok(Ok(()))) => {
@@ -908,7 +908,7 @@ fn serve_smoke_fanin(workers: usize, reactor: ReactorMode, connections: usize) -
 /// line-linted; and after shutdown the emitted Chrome trace JSON is
 /// parsed and validated (non-empty, well-formed events, the expected
 /// serve spans present).
-fn serve_smoke_trace(workers: usize, reactor: ReactorMode) -> ExitCode {
+fn serve_smoke_trace(workers: usize) -> ExitCode {
     let trace_path = std::env::temp_dir().join(format!(
         "cosched-smoke-trace-{}-{workers}.json",
         std::process::id()
@@ -923,22 +923,22 @@ fn serve_smoke_trace(workers: usize, reactor: ReactorMode) -> ExitCode {
     obs::set_enabled(true);
     server.config_mut().allow_shutdown = true;
     server.config_mut().workers = workers;
-    server.config_mut().reactor = reactor;
     server.config_mut().trace = true;
     server.config_mut().trace_out = Some(trace_path.clone());
     server.config_mut().metrics_addr = Some("127.0.0.1:0".to_string());
     let addr = server.local_addr().expect("bound listener has an address");
     let metrics_probe = server.metrics_probe();
     let handle = std::thread::spawn(move || server.run());
-    println!("# smoke-trace: serving on {addr} ({workers} workers, reactor {reactor})");
+    println!("# smoke-trace: serving on {addr} ({workers} workers)");
 
     let result = (|| -> Result<(), String> {
         // Everything but the final shutdown line, so the metrics scrape
         // below sees a server that has actually handled requests.
         let script = smoke_script();
         let (body, _) = script.split_at(script.len() - 1);
-        let responses =
-            client_exchange(addr, body).map_err(|e| format!("smoke exchange failed: {e}"))?;
+        let responses = Client::default()
+            .exchange(addr, body)
+            .map_err(|e| format!("smoke exchange failed: {e}"))?;
         for (k, response) in responses.iter().enumerate() {
             let v = minijson::Json::parse(response)
                 .map_err(|e| format!("response {k} unparseable: {e} in {response}"))?;
@@ -975,8 +975,9 @@ fn serve_smoke_trace(workers: usize, reactor: ReactorMode) -> ExitCode {
         Ok(())
     })();
 
-    let shutdown =
-        client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).map_err(|e| e.to_string());
+    let shutdown = Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .map_err(|e| e.to_string());
     let run = handle.join();
     let trace_check = match (&result, &shutdown) {
         (Ok(()), Ok(_)) => validate_chrome_trace(&trace_path),
@@ -1365,8 +1366,8 @@ fn client_main(args: Vec<String>) -> ExitCode {
     if batch_op && !from_file {
         return usage("--batch requires --requests FILE");
     }
-    if stats && (!from_file || batch_op || frame != FrameMode::Json) {
-        return usage("--stats requires --requests FILE on the pipelined JSON path");
+    if stats && (!from_file || batch_op) {
+        return usage("--stats requires --requests FILE on the pipelined path");
     }
     if let Some(path) = batch_file {
         if !requests.is_empty() {
@@ -1396,11 +1397,9 @@ fn client_main(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    if batch_op {
-        return client_batch(&addr, &requests, retries, frame);
-    }
-    if stats {
-        return client_stats(&addr, &requests, retries);
+    if stats && requests.is_empty() {
+        eprintln!("--stats: no requests to send");
+        return ExitCode::FAILURE;
     }
     // Connects retry with bounded exponential backoff (a restoring server
     // replaying its WAL is the expected cause of a refused connect);
@@ -1408,15 +1407,29 @@ fn client_main(args: Vec<String>) -> ExitCode {
     // half-delivered trace would re-apply its mutations. `--frame binary`
     // negotiates the length-prefixed codec up front; the response lines
     // printed are byte-identical either way.
+    let client = Client { frame, retries };
+    if batch_op {
+        return client_batch(&addr, &requests, client);
+    }
     let exchanged = if from_file {
-        pipelined_exchange_framed_with_retries(&addr, &requests, frame, retries)
+        client.pipeline(&*addr, &requests)
     } else {
-        client_exchange_framed_with_retries(&addr, &requests, frame, retries)
+        client
+            .exchange(&*addr, &requests)
+            .map(|responses| ExchangeStats {
+                responses,
+                latencies_ns: Vec::new(),
+                wall_ns: 0,
+            })
     };
     match exchanged {
-        Ok(responses) => {
-            for response in responses {
+        Ok(replay) => {
+            for response in &replay.responses {
                 println!("{response}");
+            }
+            // Only the pipelined replay is timed; `--stats` requires it.
+            if stats {
+                report_client_stats(&replay);
             }
             ExitCode::SUCCESS
         }
@@ -1946,7 +1959,9 @@ fn cluster_serve_replay(lines: &[String], workers: usize) -> Result<Vec<String>,
     let handle = std::thread::spawn(move || server.run());
     let mut script = lines.to_vec();
     script.push(r#"{"op":"shutdown"}"#.to_string());
-    let mut responses = client_exchange(local, &script).map_err(|e| e.to_string())?;
+    let mut responses = Client::default()
+        .exchange(local, &script)
+        .map_err(|e| e.to_string())?;
     responses.pop();
     match handle.join() {
         Ok(Ok(())) => Ok(responses),
@@ -1958,7 +1973,7 @@ fn cluster_serve_replay(lines: &[String], workers: usize) -> Result<Vec<String>,
 /// Sends `requests` as one `batch` op and prints the unpacked
 /// sub-responses, one per line in request order — indistinguishable from
 /// the pipelined replay's output, but a single codec round-trip.
-fn client_batch(addr: &str, requests: &[String], retries: u32, frame: FrameMode) -> ExitCode {
+fn client_batch(addr: &str, requests: &[String], client: Client) -> ExitCode {
     let mut subs = Vec::with_capacity(requests.len());
     for request in requests {
         match minijson::Json::parse(request) {
@@ -1974,7 +1989,7 @@ fn client_batch(addr: &str, requests: &[String], retries: u32, frame: FrameMode)
         ("requests", minijson::Json::Arr(subs)),
     ])
     .to_string();
-    let combined = match client_exchange_framed_with_retries(addr, &[envelope], frame, retries) {
+    let combined = match client.exchange(addr, &[envelope]) {
         Ok(mut responses) => responses.remove(0),
         Err(e) => {
             eprintln!("cannot exchange with {addr}: {e}");
@@ -2004,25 +2019,10 @@ fn client_batch(addr: &str, requests: &[String], retries: u32, frame: FrameMode)
     }
 }
 
-/// `cosched client --requests FILE --stats`: the pipelined replay, plus a
-/// client-observed latency/throughput report on stderr (responses still
-/// print to stdout, so piping the replay is unaffected).
-fn client_stats(addr: &str, requests: &[String], retries: u32) -> ExitCode {
-    if requests.is_empty() {
-        eprintln!("--stats: no requests to send");
-        return ExitCode::FAILURE;
-    }
-    let exchanged = pipelined_exchange_stats(addr, requests, retries);
-    let stats = match exchanged {
-        Ok(stats) => stats,
-        Err(e) => {
-            eprintln!("cannot exchange with {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for response in &stats.responses {
-        println!("{response}");
-    }
+/// `cosched client --requests FILE --stats`: the client-observed
+/// latency/throughput report of a pipelined replay, on stderr (responses
+/// still print to stdout, so piping the replay is unaffected).
+fn report_client_stats(stats: &ExchangeStats) {
     let mut sorted = stats.latencies_ns.clone();
     sorted.sort_unstable();
     // Nearest-rank percentiles on the exact sample set — no
@@ -2049,5 +2049,4 @@ fn client_stats(addr: &str, requests: &[String], retries: u32) -> ExitCode {
         ms(pct(99.0) as f64),
         ms(sorted[sorted.len() - 1] as f64),
     );
-    ExitCode::SUCCESS
 }

@@ -67,9 +67,9 @@ impl ShardMetrics {
 
 /// Lock-free network counters of one reactor (= one shard's event
 /// loop). The reactor thread bumps them; the `metrics` op reads them.
-/// Threaded and sequential front-ends have no reactor, so they report
-/// no [`NetReport`] — the pre-reactor `metrics` payload stays
-/// byte-identical, the same opt-in pattern as the `wal_*` columns.
+/// The sequential server has no reactor, so it reports no
+/// [`NetReport`] — its `metrics` payload carries no net columns, the
+/// same opt-in pattern as the `wal_*` columns.
 #[derive(Debug, Default)]
 pub struct NetMetrics {
     open: AtomicU64,
@@ -452,9 +452,9 @@ pub struct ShardReport {
     /// none`, in which case no `wal_*` fields appear in the response (the
     /// pre-durability payload stays byte-identical).
     pub wal: Option<WalStats>,
-    /// Reactor network counters — `None` on the threaded and sequential
-    /// front-ends, in which case no net fields appear in the response
-    /// (same pattern as `wal`).
+    /// Reactor network counters — `None` on the sequential server, in
+    /// which case no net fields appear in the response (same pattern as
+    /// `wal`).
     pub net: Option<NetReport>,
     /// Dispatch-latency histogram — `None` until the shard has answered
     /// at least one routed request, in which case no `latency_*` fields

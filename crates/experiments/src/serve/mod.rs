@@ -43,15 +43,13 @@
 //! * [`worker`] — one single-threaded [`Session`] per shard on its own
 //!   thread (ids strided per shard, so the id sequence matches the
 //!   single-worker server), fed by a bounded mpsc channel;
-//! * [`conn`] — per-connection reader/writer threads multiplexing
-//!   in-flight requests by sequence number (responses return in request
-//!   order whichever shard finishes first), plus the lock-step and
-//!   pipelined clients;
-//! * [`reactor`] — the event-loop front-end (`--reactor on|auto`): one
-//!   reactor thread per shard owning all of the shard's connections
-//!   through the `miniepoll` shim — nonblocking readiness loop,
-//!   per-connection read/write buffers, the same sequence-number
-//!   reorder buffer as [`conn`];
+//! * [`reactor`] — the sharded server's front-end: one event-loop
+//!   thread per shard owning all of the shard's connections through the
+//!   `miniepoll` shim — nonblocking readiness loop, per-connection
+//!   read/write buffers, and a sequence-number reorder buffer so
+//!   responses return in request order whichever shard finishes first;
+//! * [`conn`] — the [`Client`]: lock-step and pipelined exchanges in
+//!   either wire mode, with connect-only retries;
 //! * [`frame`] — the opt-in length-prefixed binary wire format,
 //!   negotiated by a `{"op":"hello","frame":"binary"}` first line
 //!   (JSON stays the reference protocol and byte-identity oracle);
@@ -71,16 +69,15 @@
 //!   deterministic, byte for byte; the reference the sharded mode is
 //!   pinned against.
 //! * `workers >= 2` — the **sharded server**: instances are distributed
-//!   across per-worker sessions, every connection multiplexes, and a slow
-//!   solve only stalls its own shard. [`ServeConfig::reactor`] picks how
-//!   connections are carried: `off` spends a reader + writer thread per
-//!   connection, `on` runs one [`reactor`] event loop per shard, and
-//!   `auto` (the default) uses the reactor wherever the platform has
-//!   epoll. For a fixed lock-step request trace the responses are
+//!   across per-worker sessions, one [`reactor`] event loop per shard
+//!   carries the connections, every connection multiplexes, and a slow
+//!   solve only stalls its own shard. The reactor needs epoll, so on a
+//!   platform without it ([`miniepoll::SUPPORTED`] is false) the sharded
+//!   server fails at startup and [`available_workers`] defaults to 1.
+//!   For a fixed lock-step request trace the responses are
 //!   payload-identical to the single-worker server
-//!   (`tests/serve_concurrent.rs` pins this across all three fronts);
-//!   only the `metrics` op differs, reporting one row per shard by
-//!   design.
+//!   (`tests/serve_concurrent.rs` pins this); only the `metrics` op
+//!   differs, reporting one row per shard by design.
 //!
 //! [`Session`]: coschedule::session::Session
 
@@ -93,12 +90,7 @@ pub mod router;
 pub mod wal;
 pub mod worker;
 
-pub use conn::{
-    client_exchange, client_exchange_framed, client_exchange_framed_with_retries,
-    client_exchange_with_retries, connect_with_retries, pipelined_exchange,
-    pipelined_exchange_framed, pipelined_exchange_framed_with_retries, pipelined_exchange_stats,
-    pipelined_exchange_with_retries, ExchangeStats, DEFAULT_CLIENT_RETRIES,
-};
+pub use conn::{Client, ExchangeStats, DEFAULT_CLIENT_RETRIES};
 pub use frame::FrameMode;
 pub use protocol::{
     app_from_json, app_to_json, handle_line, platform_from_json, platform_overrides_from_json,
@@ -108,11 +100,10 @@ pub use wal::{Durability, Standby};
 
 use coschedule::session::Session;
 use minijson::Json;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Serve-level configuration, applied when [`Server::run`] starts.
 #[derive(Debug, Clone)]
@@ -141,10 +132,6 @@ pub struct ServeConfig {
     /// WAL records per shard between snapshot rotations
     /// (`--snapshot-every N`).
     pub snapshot_every: u64,
-    /// Which sharded front-end serves connections (`--reactor
-    /// on|off|auto`); irrelevant at `workers == 1` (the sequential
-    /// server has no per-connection threads either way).
-    pub reactor: ReactorMode,
     /// Observation window for each shard session's `"auto"` tuner
     /// (`--tuner-window N`): 0 keeps the default unbounded statistics,
     /// `N > 0` ranks leaders by exponentially-decayed observations with
@@ -171,41 +158,6 @@ pub struct ServeConfig {
     pub slow_ms: Option<u64>,
 }
 
-/// Choice of sharded front-end (see [`ServeConfig::reactor`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorMode {
-    /// Reactor where supported (Linux), threaded elsewhere.
-    #[default]
-    Auto,
-    /// Reactor, or fail to start on a platform without epoll.
-    On,
-    /// Always thread-per-connection.
-    Off,
-}
-
-impl std::fmt::Display for ReactorMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ReactorMode::Auto => "auto",
-            ReactorMode::On => "on",
-            ReactorMode::Off => "off",
-        })
-    }
-}
-
-impl std::str::FromStr for ReactorMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ReactorMode::Auto),
-            "on" => Ok(ReactorMode::On),
-            "off" => Ok(ReactorMode::Off),
-            other => Err(format!("unknown reactor mode {other:?} (on|off|auto)")),
-        }
-    }
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
@@ -217,7 +169,6 @@ impl Default for ServeConfig {
             wal_dir: None,
             restore: false,
             snapshot_every: wal::DEFAULT_SNAPSHOT_EVERY,
-            reactor: ReactorMode::Auto,
             tuner_window: 0,
             trace: false,
             trace_out: None,
@@ -319,9 +270,14 @@ pub fn build_states(config: &mut ServeConfig) -> Result<Vec<ServeState>, String>
 }
 
 /// What `cosched serve` uses when `--workers` is not given: the machine's
-/// available parallelism (1 on a single-core box — i.e. the sequential
-/// server).
+/// available parallelism — or 1, the sequential server, on a single-core
+/// box or where the sharded server's reactor has no epoll
+/// ([`miniepoll::SUPPORTED`] is false), so a default `cosched serve`
+/// starts on any platform.
 pub fn available_workers() -> usize {
+    if !miniepoll::SUPPORTED {
+        return 1;
+    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -392,7 +348,7 @@ impl Server {
     }
 
     fn run_states(self, mut states: Vec<ServeState>) -> std::io::Result<()> {
-        // The metrics listener runs on its own thread for all three
+        // The metrics listener runs on its own thread for both
         // front-ends, reading each shard's atomic counters through
         // `Arc<ShardObs>` handles cloned before the states move into
         // their workers.
@@ -411,12 +367,7 @@ impl Server {
             state.allow_shutdown = self.config.allow_shutdown;
             self.run_sequential(state)
         } else {
-            match self.config.reactor {
-                ReactorMode::Off => self.run_sharded(states),
-                ReactorMode::On => self.run_reactor(states),
-                ReactorMode::Auto if miniepoll::SUPPORTED => self.run_reactor(states),
-                ReactorMode::Auto => self.run_sharded(states),
-            }
+            self.run_reactor(states)
         };
         if let Some(path) = trace_out {
             // All shard workers have joined by now, so their rings are
@@ -447,76 +398,10 @@ impl Server {
         Ok(())
     }
 
-    /// The sharded front-end: a router over per-shard sessions, one
-    /// reader/writer thread pair per connection.
-    fn run_sharded(self, states: Vec<ServeState>) -> std::io::Result<()> {
-        let wake = wake_addr(self.listener.local_addr()?);
-        let router = Arc::new(router::Router::new(&self.config, states));
-        // Live connections, so shutdown can unblock readers parked in a
-        // TCP read (each entry is removed by its own thread on exit).
-        let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let mut connections = Vec::new();
-        let mut result = Ok(());
-        for (token, stream) in self.listener.incoming().enumerate() {
-            let stream = match stream {
-                Ok(stream) => stream,
-                // Run the teardown below even on an accept failure —
-                // returning here would leave shard workers and open
-                // connections running detached.
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            };
-            if router.shutdown_requested() {
-                // The wake-up connection (below) lands here.
-                break;
-            }
-            let token = token as u64;
-            if let Ok(clone) = stream.try_clone() {
-                open.lock()
-                    .expect("open-connection map")
-                    .insert(token, clone);
-            }
-            let conn_router = Arc::clone(&router);
-            let conn_open = Arc::clone(&open);
-            connections.push(std::thread::spawn(move || {
-                let _ = conn::serve_connection(&conn_router, stream);
-                conn_open
-                    .lock()
-                    .expect("open-connection map")
-                    .remove(&token);
-                if conn_router.shutdown_requested() {
-                    // Unblock the accept loop so it can observe the flag.
-                    // Retried: shutdown was already acknowledged to the
-                    // client, so a transiently dropped SYN (full backlog
-                    // under a connection flood) must not hang the server.
-                    for backoff_ms in [0u64, 10, 50, 250, 1000] {
-                        std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                        if TcpStream::connect(wake).is_ok() {
-                            break;
-                        }
-                    }
-                }
-            }));
-        }
-        // Unblock every reader still parked in a read (idle clients would
-        // otherwise stall the join below indefinitely).
-        for (_, stream) in open.lock().expect("open-connection map").drain() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
-        if let Ok(router) = Arc::try_unwrap(router) {
-            router.join();
-        }
-        result
-    }
-
-    /// The event-loop front-end (`--reactor on|auto`): one reactor
-    /// thread per shard owning all of its connections, dealt round-robin
-    /// by this (still blocking) accept loop — see [`reactor`].
+    /// The sharded front-end: a router over per-shard sessions and one
+    /// reactor thread per shard owning all of its connections, dealt
+    /// round-robin by this (still blocking) accept loop — see
+    /// [`reactor`]. Fails at startup where the platform has no epoll.
     fn run_reactor(self, states: Vec<ServeState>) -> std::io::Result<()> {
         let wake = wake_addr(self.listener.local_addr()?);
         let shards = states.len();
@@ -579,9 +464,9 @@ impl Server {
     }
 }
 
-/// Where a connection thread dials to wake the accept loop after a
-/// shutdown: the bound port, but always via loopback — connecting to a
-/// wildcard bind address (`0.0.0.0` / `::`) is platform-dependent.
+/// Where a reactor dials to wake the accept loop after a shutdown: the
+/// bound port, but always via loopback — connecting to a wildcard bind
+/// address (`0.0.0.0` / `::`) is platform-dependent.
 fn wake_addr(bound: SocketAddr) -> SocketAddr {
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
     let ip = match bound.ip() {

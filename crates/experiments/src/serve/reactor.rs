@@ -1,13 +1,11 @@
-//! The event-loop front-end: **one reactor thread per shard**, each
-//! owning all of its connections — `--reactor on|auto` (auto = on, on
-//! Linux, when `--workers >= 2`).
+//! The sharded server's front-end: **one reactor thread per shard**,
+//! each owning all of its connections (every `--workers >= 2` server).
 //!
-//! The threaded front-end ([`conn`](super::conn)) spends two OS threads
-//! per accepted connection; fine for eight bench clients, fatal at ten
-//! thousand. Here the accept loop stays blocking (it is one thread
-//! regardless of connection count) and deals accepted sockets
-//! round-robin to the reactors; each reactor runs a level-triggered
-//! [`miniepoll`] readiness loop over its connections:
+//! Connections cost no threads of their own, so the fan-in scales to
+//! thousands of mostly idle clients. The accept loop stays blocking (it
+//! is one thread regardless of connection count) and deals accepted
+//! sockets round-robin to the reactors; each reactor runs a
+//! level-triggered [`miniepoll`] readiness loop over its connections:
 //!
 //! * per-connection **read and write buffers**, with partial reads
 //!   reassembled into lines (or binary frames, after a hello — see
@@ -16,9 +14,9 @@
 //! * **write-interest toggling**: a connection is registered read-only
 //!   while its write buffer is empty and read+write while it is not, so
 //!   an idle connection costs no wakeups;
-//! * the same **sequence-number reorder buffer** as the threaded writer
-//!   — requests are tagged in arrival order and responses released in
-//!   that order, whichever shard finishes first;
+//! * a **sequence-number reorder buffer** — requests are tagged in
+//!   arrival order and responses released in that order, whichever
+//!   shard finishes first;
 //! * an **eventfd completion mailbox** per reactor: shard workers
 //!   deposit finished responses via
 //!   [`ResponseSink::Reactor`](super::worker::ResponseSink) and signal
@@ -27,9 +25,8 @@
 //! Dispatching still happens on the reactor thread, so the two blocking
 //! points of the router are inherited knowingly: a `create` waits for
 //! the owning shard synchronously, and a send into a **full** shard
-//! queue blocks until the shard drains (the same backpressure the
-//! threaded reader applies, now stalling every connection of the
-//! reactor instead of one — bounded by [`QUEUE_CAPACITY`]).
+//! queue blocks until the shard drains (backpressure that stalls every
+//! connection of the reactor — bounded by [`QUEUE_CAPACITY`]).
 //!
 //! Shutdown: once the router accepts a `shutdown`, it signals every
 //! reactor's eventfd. Each reactor stops reading, delivers and flushes
@@ -133,8 +130,8 @@ pub(super) struct Reactor {
 
 impl Reactor {
     /// Spawns shard `shard`'s reactor. Fails (cleanly, before spawning)
-    /// when the platform has no epoll — `--reactor auto` never gets
-    /// here, `--reactor on` surfaces the error.
+    /// when the platform has no epoll, which stops a sharded server at
+    /// startup.
     pub fn spawn(shard: usize, router: Arc<Router>, wake_addr: SocketAddr) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
         let completions = Arc::new(Completions {
@@ -347,8 +344,8 @@ impl Loop {
         }
         // Deregister-then-close each connection (see the miniepoll
         // safety invariants), then nudge the accept loop so it can
-        // observe the shutdown flag. Retried like the threaded path: a
-        // transiently dropped SYN must not hang the server.
+        // observe the shutdown flag. Retried: a transiently dropped SYN
+        // must not hang the server.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close(token);

@@ -23,7 +23,7 @@
 //! * `solvers`, `metrics`, and `shutdown` are answered in place.
 //!
 //! Backpressure: shard queues are bounded, so routing to a saturated
-//! shard blocks that connection's reader (see
+//! shard blocks the reactor dispatching to it (see
 //! [`QUEUE_CAPACITY`](super::worker::QUEUE_CAPACITY)).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +37,7 @@ use super::worker::{Directory, ResponseSink, ShardMsg, ShardSnapshot, TaggedResp
 use super::ServeConfig;
 
 /// The shared routing core of a sharded server; one per [`Server`]
-/// (`Arc`-shared with every connection thread).
+/// (`Arc`-shared with every reactor).
 ///
 /// [`Server`]: super::Server
 pub(super) struct Router {
@@ -48,10 +48,10 @@ pub(super) struct Router {
     create_cursor: Mutex<u64>,
     shutdown: AtomicBool,
     allow_shutdown: bool,
-    /// The reactor front-end's per-shard hooks (empty on the threaded
-    /// front-end): each shard's completion mailbox — signalled on
-    /// shutdown so parked reactors wake and drain — and its network
-    /// counters for the `metrics` op.
+    /// The reactors' per-shard hooks (empty until
+    /// [`Router::attach_reactors`]): each shard's completion mailbox —
+    /// signalled on shutdown so parked reactors wake and drain — and its
+    /// network counters for the `metrics` op.
     reactors: Mutex<Vec<ReactorHook>>,
 }
 
@@ -86,9 +86,9 @@ impl Router {
         }
     }
 
-    /// Registers the reactor front-end's hooks, one per shard in shard
-    /// order (the threaded front-end never calls this). Reactor `k`'s
-    /// network counters appear on shard `k`'s `metrics` row.
+    /// Registers the reactors' hooks, one per shard in shard order.
+    /// Reactor `k`'s network counters appear on shard `k`'s `metrics`
+    /// row.
     pub fn attach_reactors(&self, hooks: Vec<ReactorHook>) {
         *self.reactors.lock().expect("reactor hooks") = hooks;
     }

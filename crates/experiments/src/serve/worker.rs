@@ -11,8 +11,8 @@
 //! columns, recycled scratch, resolve memo) warm across requests.
 //!
 //! The request channel is bounded ([`QUEUE_CAPACITY`]): when a shard
-//! falls behind, `send` blocks the connection reader that is routing to
-//! it — backpressure instead of unbounded buffering.
+//! falls behind, `send` blocks the reactor that is routing to it —
+//! backpressure instead of unbounded buffering.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
@@ -27,21 +27,20 @@ use super::protocol::{self, ServeState};
 use super::wal::WalStats;
 
 /// Bound of each shard's request queue; a full queue blocks the routing
-/// reader (backpressure) rather than buffering without limit.
+/// reactor (backpressure) rather than buffering without limit.
 pub(super) const QUEUE_CAPACITY: usize = 128;
 
 /// The shared instance directory: global instance id → owning shard.
 pub(super) type Directory = Arc<Mutex<HashMap<u64, usize>>>;
 
-/// A response tagged with the per-connection sequence number of its
-/// request, on its way to that connection's writer thread.
+/// A response tagged with the sequence number of its request, on its way
+/// back through a [`ResponseSink::Channel`].
 pub(super) type TaggedResponse = (u64, String);
 
-/// Where a finished response goes — the seam that lets the same router
-/// and workers serve both front-ends:
+/// Where a finished response goes:
 ///
-/// * **threaded** — an unbounded mpsc sender to the connection's writer
-///   thread (one channel per connection);
+/// * **channel** — an unbounded mpsc sender the router awaits on while
+///   it answers a `batch` envelope sub-request by sub-request;
 /// * **reactor** — the owning reactor's completion mailbox, tagged with
 ///   the connection token so the reactor can route the line to the
 ///   right write buffer. Pushing also signals the reactor's eventfd.
@@ -52,8 +51,7 @@ pub(super) type TaggedResponse = (u64, String);
 /// side) never waits on a worker that is itself waiting to deliver.
 #[derive(Clone)]
 pub(super) enum ResponseSink {
-    /// To a connection writer thread (threaded front-end, and the
-    /// router's internal lock-step sub-dispatches).
+    /// To the router's internal lock-step sub-dispatches (`batch`).
     Channel(Sender<TaggedResponse>),
     /// To a reactor's completion mailbox (reactor front-end).
     Reactor {
@@ -81,8 +79,8 @@ impl ResponseSink {
 /// One message on a shard's request queue.
 pub(super) enum ShardMsg {
     /// An instance-routed request; the response goes straight to the
-    /// connection's writer (the reader does not wait — this is what lets
-    /// one connection keep several shards busy at once).
+    /// connection's reactor (which does not wait — this is what lets one
+    /// connection keep several shards busy at once).
     Apply {
         request: Json,
         seq: u64,

@@ -5,7 +5,7 @@
 // Each integration test binary compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
-use experiments::serve::{app_to_json, client_exchange, ServeConfig, Server};
+use experiments::serve::{app_to_json, Client, ServeConfig, Server};
 use minijson::Json;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
@@ -33,7 +33,9 @@ pub fn spawn_server(workers: usize) -> (SocketAddr, ServerHandle) {
 /// Sends `shutdown` and joins the server thread, asserting it exits
 /// cleanly.
 pub fn shutdown(addr: SocketAddr, handle: ServerHandle) {
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .expect("shutdown");
     handle.join().expect("server thread").expect("server run");
 }
 
@@ -42,7 +44,9 @@ pub fn shutdown(addr: SocketAddr, handle: ServerHandle) {
 /// server thread is joined).
 pub fn run_script(workers: usize, script: &[String]) -> Vec<String> {
     let (addr, handle) = spawn_server(workers);
-    let responses = client_exchange(addr, script).expect("loopback exchange");
+    let responses = Client::default()
+        .exchange(addr, script)
+        .expect("loopback exchange");
     handle
         .join()
         .expect("server thread")

@@ -14,7 +14,7 @@ use coschedule::obs;
 use coschedule::session::Session;
 use experiments::serve::metrics::{prometheus_body, LatencyHistogram, PromShard};
 use experiments::serve::wal::{recover_shard, WalWriter};
-use experiments::serve::{client_exchange, handle_line, smoke_script, Durability, ServeState};
+use experiments::serve::{handle_line, smoke_script, Client, Durability, ServeState};
 use minijson::Json;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -255,7 +255,9 @@ fn tracing_enabled_preserves_response_bytes() {
     let script = smoke_script();
     let run = |workers: usize| -> Vec<String> {
         let (addr, handle) = spawn_server_with(|config| config.workers = workers);
-        let responses = client_exchange(addr, &script).expect("loopback exchange");
+        let responses = Client::default()
+            .exchange(addr, &script)
+            .expect("loopback exchange");
         handle.join().expect("server thread").expect("server run");
         responses
     };
@@ -301,7 +303,9 @@ fn trace_op_drains_the_addressed_shard() {
         r#"{"op":"trace","shard":1}"#.to_string(),
         r#"{"op":"shutdown"}"#.to_string(),
     ];
-    let responses = client_exchange(addr, &script).expect("loopback exchange");
+    let responses = Client::default()
+        .exchange(addr, &script)
+        .expect("loopback exchange");
     handle.join().expect("server thread").expect("server run");
     obs::set_enabled(false);
     let _ = obs::drain();

@@ -12,10 +12,8 @@
 
 mod common;
 
-use common::{create_request, shutdown, spawn_server, spawn_server_with, subtrace};
-use experiments::serve::{
-    client_exchange, client_exchange_framed, pipelined_exchange_framed, FrameMode, ReactorMode,
-};
+use common::{create_request, shutdown, spawn_server, subtrace};
+use experiments::serve::{Client, FrameMode};
 use minijson::Json;
 
 #[test]
@@ -35,8 +33,9 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
             .map(|k| {
                 scope.spawn(move || {
                     let create = create_request(k);
-                    let created =
-                        client_exchange(addr, std::slice::from_ref(&create)).expect("create");
+                    let created = Client::default()
+                        .exchange(addr, std::slice::from_ref(&create))
+                        .expect("create");
                     let v = Json::parse(&created[0]).expect("create response");
                     assert_eq!(
                         v.get("ok").and_then(Json::as_bool),
@@ -50,10 +49,17 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
                     } else {
                         FrameMode::Json
                     };
+                    let client = Client {
+                        frame,
+                        ..Client::default()
+                    };
                     let responses = if k % 2 == 0 {
-                        pipelined_exchange_framed(addr, &trace, frame).expect("pipelined subtrace")
+                        client
+                            .pipeline(addr, &trace)
+                            .expect("pipelined subtrace")
+                            .responses
                     } else {
-                        client_exchange_framed(addr, &trace, frame).expect("lock-step subtrace")
+                        client.exchange(addr, &trace).expect("lock-step subtrace")
                     };
                     let mut requests = vec![create];
                     requests.extend(trace);
@@ -77,7 +83,9 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
         r#"{"op":"stats"}"#.to_string(),
         r#"{"op":"list"}"#.to_string(),
     ];
-    let live_globals = client_exchange(addr, &globals).expect("stats+list");
+    let live_globals = Client::default()
+        .exchange(addr, &globals)
+        .expect("stats+list");
     shutdown(addr, server);
 
     // Phase 2 — replay: one single-worker server, the same per-instance
@@ -86,7 +94,7 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
     clients.sort_by_key(|(id, _, _)| *id);
     let (addr, server) = spawn_server(1);
     for (id, requests, live_responses) in &clients {
-        let replayed = client_exchange(addr, requests).expect("replay");
+        let replayed = Client::default().exchange(addr, requests).expect("replay");
         assert_eq!(
             &replayed, live_responses,
             "instance {id}: single-worker replay diverged from the sharded live run"
@@ -94,19 +102,22 @@ fn concurrent_clients_match_a_single_worker_replay_byte_for_byte() {
     }
     // Totals are conserved too: the merged stats/list of the sharded
     // server equal the single worker's, byte for byte.
-    let replay_globals = client_exchange(addr, &globals).expect("stats+list");
+    let replay_globals = Client::default()
+        .exchange(addr, &globals)
+        .expect("stats+list");
     assert_eq!(replay_globals, live_globals);
     shutdown(addr, server);
 }
 
 #[test]
 fn sharded_shutdown_completes_while_other_connections_sit_idle() {
-    // Regression: `run_sharded` joins every connection thread; an idle
-    // client parked in a TCP read must not stall the shutdown — the
-    // server shuts the socket down to unblock its reader.
+    // Regression: an idle client parked in a TCP read must not stall the
+    // shutdown — each reactor closes its connections once it drains.
     let (addr, server) = spawn_server(2);
     let idle = std::net::TcpStream::connect(addr).expect("idle connect");
-    client_exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()]).expect("shutdown");
+    Client::default()
+        .exchange(addr, &[r#"{"op":"shutdown"}"#.to_string()])
+        .expect("shutdown");
     server
         .join()
         .expect("server must exit despite the idle client")
@@ -139,7 +150,7 @@ fn lock_step_trace_with_closes_is_identical_at_any_worker_count() {
     let mut by_workers = Vec::new();
     for workers in [1usize, 4] {
         let (addr, server) = spawn_server(workers);
-        let responses = client_exchange(addr, &trace).expect("trace");
+        let responses = Client::default().exchange(addr, &trace).expect("trace");
         shutdown(addr, server);
         by_workers.push(responses);
     }
@@ -166,12 +177,12 @@ fn lock_step_trace_with_closes_is_identical_at_any_worker_count() {
 }
 
 #[test]
-fn reactor_and_threaded_front_ends_serve_identical_bytes() {
+fn sequential_and_reactor_front_ends_serve_identical_bytes() {
     // The explicit front-end pin: the same lock-step trace against the
-    // sequential server, the thread-per-connection front-end
-    // (`--reactor off`), and the epoll reactor (`--reactor on`) must be
-    // answered with the same bytes (metrics exempt as always — the
-    // reactor adds net columns and the fronts shard differently).
+    // sequential server (`--workers 1`) and the epoll reactor
+    // (`--workers 4`) must be answered with the same bytes (metrics
+    // exempt as always — the reactor adds net columns and the fronts
+    // shard differently).
     let mut trace: Vec<String> = (0..4).map(create_request).collect();
     for id in [0u64, 2, 3] {
         trace.push(format!(
@@ -182,22 +193,14 @@ fn reactor_and_threaded_front_ends_serve_identical_bytes() {
     trace.push(r#"{"op":"list"}"#.into());
     trace.push(r#"{"op":"stats"}"#.into());
 
-    let run = |workers: usize, reactor: ReactorMode| -> Vec<String> {
-        let (addr, server) = spawn_server_with(|config| {
-            config.workers = workers;
-            config.reactor = reactor;
-        });
-        let responses = client_exchange(addr, &trace).expect("trace");
+    let run = |workers: usize| -> Vec<String> {
+        let (addr, server) = spawn_server(workers);
+        let responses = Client::default().exchange(addr, &trace).expect("trace");
         shutdown(addr, server);
         responses
     };
-    let sequential = run(1, ReactorMode::Auto);
-    let threaded = run(4, ReactorMode::Off);
-    let reactor = run(4, ReactorMode::On);
-    assert_eq!(
-        sequential, threaded,
-        "threaded front-end diverged from the sequential server"
-    );
+    let sequential = run(1);
+    let reactor = run(4);
     assert_eq!(
         sequential, reactor,
         "reactor front-end diverged from the sequential server"

@@ -10,7 +10,7 @@ use common::{shutdown, spawn_server};
 use experiments::serve::frame::{
     encode_frame, hello_line, negotiate, FrameDecoder, Negotiation, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
-use experiments::serve::{client_exchange, client_exchange_framed, smoke_script, FrameMode};
+use experiments::serve::{smoke_script, Client, FrameMode};
 use minijson::Json;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -145,8 +145,15 @@ fn hello_negotiation_is_transport_level_not_an_op() {
     // response is byte-identical to what a plain JSON connection answers.
     let (addr, handle) = spawn_server(1);
     let script = [r#"{"op":"stats"}"#.to_string()];
-    let framed = client_exchange_framed(addr, &script, FrameMode::Binary).expect("framed stats");
-    let json = client_exchange(addr, &script).expect("json stats");
+    let framed = Client {
+        frame: FrameMode::Binary,
+        ..Client::default()
+    }
+    .exchange(addr, &script)
+    .expect("framed stats");
+    let json = Client::default()
+        .exchange(addr, &script)
+        .expect("json stats");
     assert_eq!(framed.len(), 1, "hello must not produce an extra response");
     assert_eq!(
         framed, json,
@@ -171,12 +178,18 @@ fn binary_frames_decode_to_the_exact_json_reference_bytes() {
     let script = smoke_script();
     for workers in [1, 4] {
         let (addr, handle) = spawn_server(workers);
-        let json = client_exchange(addr, &script).expect("json exchange");
+        let json = Client::default()
+            .exchange(addr, &script)
+            .expect("json exchange");
         handle.join().expect("server thread").expect("server run");
 
         let (addr, handle) = spawn_server(workers);
-        let framed =
-            client_exchange_framed(addr, &script, FrameMode::Binary).expect("framed exchange");
+        let framed = Client {
+            frame: FrameMode::Binary,
+            ..Client::default()
+        }
+        .exchange(addr, &script)
+        .expect("framed exchange");
         handle.join().expect("server thread").expect("server run");
 
         for ((request, j), f) in script.iter().zip(&json).zip(&framed) {
@@ -198,6 +211,44 @@ fn binary_frames_decode_to_the_exact_json_reference_bytes() {
             assert_eq!(
                 j, f,
                 "workers={workers}: binary frames diverged from the JSON reference on {request}"
+            );
+        }
+    }
+}
+
+#[test]
+fn binary_pipeline_matches_the_json_client_with_one_latency_sample_per_request() {
+    // The pipelined (`cosched client --stats`) path over the binary
+    // codec: the same replies as the JSON client, and every request
+    // clocked exactly once.
+    let script = smoke_script();
+    for workers in [1, 4] {
+        let mut replays = Vec::new();
+        for frame in [FrameMode::Json, FrameMode::Binary] {
+            let (addr, handle) = spawn_server(workers);
+            let client = Client {
+                frame,
+                ..Client::default()
+            };
+            let replay = client.pipeline(addr, &script).expect("pipelined replay");
+            handle.join().expect("server thread").expect("server run");
+            assert_eq!(replay.responses.len(), script.len(), "{frame}");
+            assert_eq!(
+                replay.latencies_ns.len(),
+                script.len(),
+                "workers={workers} {frame}: one latency sample per request"
+            );
+            assert!(replay.wall_ns > 0, "{frame}");
+            replays.push(replay.responses);
+        }
+        for ((request, j), f) in script.iter().zip(&replays[0]).zip(&replays[1]) {
+            // Metrics carry wall-clock latencies and wire byte counts.
+            if request.contains(r#""op":"metrics""#) {
+                continue;
+            }
+            assert_eq!(
+                j, f,
+                "workers={workers}: binary pipeline diverged from the JSON client on {request}"
             );
         }
     }

@@ -10,7 +10,7 @@
 mod common;
 
 use common::{mask_reactor_wakeups, run_script};
-use experiments::serve::{pipelined_exchange, smoke_script, Server};
+use experiments::serve::{smoke_script, Client, Server};
 use minijson::Json;
 
 #[test]
@@ -117,7 +117,10 @@ fn pipelined_client_gets_in_order_responses_from_the_sharded_server() {
     server.config_mut().workers = 4;
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run());
-    let piped = pipelined_exchange(addr, &script).expect("pipelined exchange");
+    let piped = Client::default()
+        .pipeline(addr, &script)
+        .expect("pipelined exchange")
+        .responses;
     handle.join().expect("server thread").expect("server run");
 
     assert_eq!(piped.len(), script.len());
