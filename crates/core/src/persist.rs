@@ -246,7 +246,11 @@ fn platform_from_json(v: &Json) -> Result<Platform, String> {
     })
 }
 
-fn app_to_json(app: &Application) -> Json {
+/// Serializes one application: `name`, `work`, `seq_fraction`,
+/// `access_freq`, `miss_rate_ref`, then `footprint` only when finite —
+/// the unbounded default travels as an absent field. The serve protocol
+/// writes applications with this same function.
+pub fn app_to_json(app: &Application) -> Json {
     let mut pairs = vec![
         ("name", Json::from(app.name.as_str())),
         ("work", Json::from(app.work)),

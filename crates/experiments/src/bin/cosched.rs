@@ -58,6 +58,7 @@ use coschedule::model::Platform;
 use coschedule::obs;
 use coschedule::solver::{self, Instance, Portfolio, SolveCtx};
 use experiments::appcsv::parse_applications;
+use experiments::serve::metrics::{http_get, lint_prometheus, validate_chrome_trace};
 use experiments::serve::{
     available_workers, smoke_script, smoke_script_for, wal, Client, Durability, ExchangeStats,
     FrameMode, Server, Standby, DEFAULT_CLIENT_RETRIES,
@@ -67,6 +68,22 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use workloads::npb::npb6;
+
+/// The value after a flag, parsed as the type its destination expects.
+/// Returns the usage error `$msg` from the enclosing function when the
+/// value is missing, does not parse, or fails the optional `$valid`
+/// check.
+macro_rules! flag_value {
+    ($iter:expr, $msg:expr) => {
+        flag_value!($iter, $msg, |_| true)
+    };
+    ($iter:expr, $msg:expr, $valid:expr) => {
+        match $iter.next().and_then(|v| v.parse().ok()).filter($valid) {
+            Some(v) => v,
+            None => return usage($msg),
+        }
+    };
+}
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,26 +116,11 @@ fn main() -> ExitCode {
                 }
                 return ExitCode::SUCCESS;
             }
-            "--procs" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => procs = v,
-                None => return usage("--procs expects a number"),
-            },
-            "--cache-gb" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cache_gb = v,
-                None => return usage("--cache-gb expects a number"),
-            },
-            "--ways" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => ways = v,
-                None => return usage("--ways expects an integer"),
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage("--seed expects an integer"),
-            },
-            "--strategy" => match iter.next() {
-                Some(name) => strategy_name = name,
-                None => return usage("--strategy expects a name"),
-            },
+            "--procs" => procs = flag_value!(iter, "--procs expects a number"),
+            "--cache-gb" => cache_gb = flag_value!(iter, "--cache-gb expects a number"),
+            "--ways" => ways = flag_value!(iter, "--ways expects an integer"),
+            "--seed" => seed = flag_value!(iter, "--seed expects an integer"),
+            "--strategy" => strategy_name = flag_value!(iter, "--strategy expects a name"),
             path if !path.starts_with('-') => input = Some(path.to_string()),
             other => return usage(&format!("unknown flag {other}")),
         }
@@ -355,68 +357,71 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => match iter.next() {
-                Some(a) => addr = a,
-                None => return usage("--addr expects HOST:PORT"),
-            },
-            "--workers" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = Some(n),
-                _ => return usage("--workers expects an integer >= 1"),
-            },
-            "--strategy" => match iter.next() {
+            "--addr" => addr = flag_value!(iter, "--addr expects HOST:PORT"),
+            "--workers" => {
+                workers = Some(flag_value!(
+                    iter,
+                    "--workers expects an integer >= 1",
+                    |&n: &usize| n >= 1
+                ))
+            }
+            "--strategy" => {
                 // Validated through the registry now, so a typo fails at
                 // startup instead of on every solve request.
-                Some(name) => match solver::by_name(&name) {
+                let name: String = flag_value!(iter, "--strategy expects a name");
+                match solver::by_name(&name) {
                     Ok(s) => strategy = Some(s.name()),
                     Err(e) => return usage(&e.to_string()),
-                },
-                None => return usage("--strategy expects a name"),
-            },
+                }
+            }
             "--allow-shutdown" => allow_shutdown = true,
             "--smoke" => smoke = true,
             "--smoke-recover" => smoke_recover = true,
             "--smoke-fanin" => smoke_fanin = true,
-            "--connections" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => connections = n,
-                _ => return usage("--connections expects an integer >= 1"),
-            },
+            "--connections" => {
+                connections = flag_value!(
+                    iter,
+                    "--connections expects an integer >= 1",
+                    |&n: &usize| n >= 1
+                )
+            }
             "--durability" => match iter.next().map(|v| v.parse()) {
                 Some(Ok(level)) => durability = Some(level),
                 Some(Err(e)) => return usage(&e),
                 None => return usage("--durability expects none, log, or fsync"),
             },
-            "--wal-dir" => match iter.next() {
-                Some(dir) => wal_dir = Some(PathBuf::from(dir)),
-                None => return usage("--wal-dir expects a directory"),
-            },
-            "--restore" => match iter.next() {
-                Some(dir) => {
-                    wal_dir = Some(PathBuf::from(dir));
-                    restore = true;
-                }
-                None => return usage("--restore expects a durability directory"),
-            },
-            "--snapshot-every" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => snapshot_every = Some(n),
-                _ => return usage("--snapshot-every expects an integer >= 1"),
-            },
-            "--tuner-window" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => tuner_window = n,
-                None => return usage("--tuner-window expects an integer >= 0 (0 = unbounded)"),
-            },
+            "--wal-dir" => wal_dir = Some(flag_value!(iter, "--wal-dir expects a directory")),
+            "--restore" => {
+                wal_dir = Some(flag_value!(
+                    iter,
+                    "--restore expects a durability directory"
+                ));
+                restore = true;
+            }
+            "--snapshot-every" => {
+                snapshot_every = Some(flag_value!(
+                    iter,
+                    "--snapshot-every expects an integer >= 1",
+                    |&n: &u64| n >= 1
+                ))
+            }
+            "--tuner-window" => {
+                tuner_window = flag_value!(
+                    iter,
+                    "--tuner-window expects an integer >= 0 (0 = unbounded)"
+                )
+            }
             "--trace" => trace = true,
-            "--trace-out" => match iter.next() {
-                Some(path) => trace_out = Some(PathBuf::from(path)),
-                None => return usage("--trace-out expects a file path"),
-            },
-            "--metrics-addr" => match iter.next() {
-                Some(a) => metrics_addr = Some(a),
-                None => return usage("--metrics-addr expects HOST:PORT"),
-            },
-            "--slow-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => slow_ms = Some(n),
-                None => return usage("--slow-ms expects an integer (milliseconds)"),
-            },
+            "--trace-out" => trace_out = Some(flag_value!(iter, "--trace-out expects a file path")),
+            "--metrics-addr" => {
+                metrics_addr = Some(flag_value!(iter, "--metrics-addr expects HOST:PORT"))
+            }
+            "--slow-ms" => {
+                slow_ms = Some(flag_value!(
+                    iter,
+                    "--slow-ms expects an integer (milliseconds)"
+                ))
+            }
             "--smoke-trace" => smoke_trace = true,
             other => return usage(&format!("unknown serve flag {other}")),
         }
@@ -1008,128 +1013,6 @@ fn serve_smoke_trace(workers: usize) -> ExitCode {
     }
 }
 
-/// One `GET /metrics` over a throwaway HTTP/1.0 connection; returns the
-/// response body (everything after the blank line).
-fn http_get(addr: std::net::SocketAddr) -> std::io::Result<String> {
-    use std::io::{Read as _, Write as _};
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: cosched\r\n\r\n")?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    match response.split_once("\r\n\r\n") {
-        Some((head, body)) if head.starts_with("HTTP/1.0 200") => Ok(body.to_string()),
-        Some((head, _)) => Err(std::io::Error::other(format!(
-            "unexpected status line: {:?}",
-            head.lines().next().unwrap_or("")
-        ))),
-        None => Err(std::io::Error::other("no header/body separator")),
-    }
-}
-
-/// Line-lints a Prometheus text exposition: every line is a comment
-/// (`# HELP` / `# TYPE`) or a `name{labels} value` sample whose name is
-/// a valid metric identifier and whose value parses as a float. Returns
-/// the number of sample lines, and requires the histogram families the
-/// serve exposition promises.
-fn lint_prometheus(body: &str) -> Result<usize, String> {
-    let mut samples = 0usize;
-    for (n, line) in body.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(comment) = line.strip_prefix('#') {
-            let comment = comment.trim_start();
-            if !comment.starts_with("HELP ") && !comment.starts_with("TYPE ") {
-                return Err(format!("line {}: unknown comment form: {line:?}", n + 1));
-            }
-            continue;
-        }
-        let (metric, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no value separator: {line:?}", n + 1))?;
-        let name = metric.split('{').next().unwrap_or("");
-        let valid_name = !name.is_empty()
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-            && !name.starts_with(|c: char| c.is_ascii_digit());
-        if !valid_name {
-            return Err(format!("line {}: invalid metric name {name:?}", n + 1));
-        }
-        if metric.contains('{') && !metric.ends_with('}') {
-            return Err(format!("line {}: unterminated label set: {line:?}", n + 1));
-        }
-        value
-            .parse::<f64>()
-            .map_err(|_| format!("line {}: unparseable value {value:?}", n + 1))?;
-        samples += 1;
-    }
-    for family in [
-        "cosched_uptime_seconds",
-        "cosched_requests_total",
-        "cosched_request_latency_seconds_bucket",
-        "cosched_request_latency_seconds_count",
-    ] {
-        if !body.contains(family) {
-            return Err(format!("missing metric family {family}"));
-        }
-    }
-    Ok(samples)
-}
-
-/// Parses a `--trace-out` file and checks it is a loadable Chrome trace:
-/// a `traceEvents` array of well-formed events — every complete (`"X"`)
-/// event carrying `ts` and `dur` (begin/end matched by construction) —
-/// with the serve request spans present. Returns the event count.
-fn validate_chrome_trace(path: &std::path::Path) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let v = minijson::Json::parse(&text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let events = v
-        .get("traceEvents")
-        .and_then(minijson::Json::as_array)
-        .ok_or("no traceEvents array")?;
-    if events.is_empty() {
-        return Err("traceEvents is empty".to_string());
-    }
-    let mut complete = 0usize;
-    let mut names = std::collections::BTreeSet::new();
-    for (k, event) in events.iter().enumerate() {
-        let name = event
-            .get("name")
-            .and_then(minijson::Json::as_str)
-            .ok_or_else(|| format!("event {k} has no name"))?;
-        let ph = event
-            .get("ph")
-            .and_then(minijson::Json::as_str)
-            .ok_or_else(|| format!("event {k} ({name}) has no ph"))?;
-        if event.get("ts").is_none() {
-            return Err(format!("event {k} ({name}) has no ts"));
-        }
-        match ph {
-            "X" => {
-                if event.get("dur").is_none() {
-                    return Err(format!("complete event {k} ({name}) has no dur"));
-                }
-                complete += 1;
-            }
-            "i" => {}
-            other => return Err(format!("event {k} ({name}) has unexpected ph {other:?}")),
-        }
-        names.insert(name.to_string());
-    }
-    if complete == 0 {
-        return Err("no complete (ph=X) events".to_string());
-    }
-    for expected in ["op_create", "op_solve", "op_mutate"] {
-        if !names.contains(expected) {
-            return Err(format!(
-                "expected span {expected:?} missing (saw {names:?})"
-            ));
-        }
-    }
-    Ok(events.len())
-}
-
 /// `cosched standby`: maintain a warm replica by tailing a primary's
 /// durability directory (read-only — safe next to the live primary).
 /// With `--promote ADDR`, a line (or EOF) on stdin triggers promotion:
@@ -1146,34 +1029,28 @@ fn standby_main(args: Vec<String>) -> ExitCode {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--dir" => match iter.next() {
-                Some(d) => dir = Some(PathBuf::from(d)),
-                None => return usage("--dir expects a durability directory"),
-            },
-            "--interval-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => interval = Duration::from_millis(ms),
-                None => return usage("--interval-ms expects an integer"),
-            },
+            "--dir" => dir = Some(flag_value!(iter, "--dir expects a durability directory")),
+            "--interval-ms" => {
+                interval =
+                    Duration::from_millis(flag_value!(iter, "--interval-ms expects an integer"))
+            }
             "--once" => once = true,
-            "--promote" => match iter.next() {
-                Some(a) => promote_addr = Some(a),
-                None => return usage("--promote expects HOST:PORT"),
-            },
-            "--primary" => match iter.next() {
-                Some(a) => primary = Some(a),
-                None => return usage("--primary expects HOST:PORT"),
-            },
-            "--probe-fails" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => probe_fails = Some(n),
-                _ => return usage("--probe-fails expects an integer >= 1"),
-            },
-            "--strategy" => match iter.next() {
-                Some(name) => match solver::by_name(&name) {
+            "--promote" => promote_addr = Some(flag_value!(iter, "--promote expects HOST:PORT")),
+            "--primary" => primary = Some(flag_value!(iter, "--primary expects HOST:PORT")),
+            "--probe-fails" => {
+                probe_fails = Some(flag_value!(
+                    iter,
+                    "--probe-fails expects an integer >= 1",
+                    |&n: &u32| n >= 1
+                ))
+            }
+            "--strategy" => {
+                let name: String = flag_value!(iter, "--strategy expects a name");
+                match solver::by_name(&name) {
                     Ok(s) => strategy = Some(s.name()),
                     Err(e) => return usage(&e.to_string()),
-                },
-                None => return usage("--strategy expects a name"),
-            },
+                }
+            }
             other => return usage(&format!("unknown standby flag {other}")),
         }
     }
@@ -1336,27 +1213,20 @@ fn client_main(args: Vec<String>) -> ExitCode {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--addr" => match iter.next() {
-                Some(a) => addr = a,
-                None => return usage("--addr expects HOST:PORT"),
-            },
-            "--retries" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => retries = n,
-                None => return usage("--retries expects an integer"),
-            },
+            "--addr" => addr = flag_value!(iter, "--addr expects HOST:PORT"),
+            "--retries" => retries = flag_value!(iter, "--retries expects an integer"),
             "--frame" => match iter.next().map(|v| v.parse()) {
                 Some(Ok(mode)) => frame = mode,
                 Some(Err(e)) => return usage(&e),
                 None => return usage("--frame expects json or binary"),
             },
-            "--send" => match iter.next() {
-                Some(json) => requests.push(json),
-                None => return usage("--send expects a JSON request line"),
-            },
-            "--requests" => match iter.next() {
-                Some(path) => batch_file = Some(path),
-                None => return usage("--requests expects a file of JSON request lines"),
-            },
+            "--send" => requests.push(flag_value!(iter, "--send expects a JSON request line")),
+            "--requests" => {
+                batch_file = Some(flag_value!(
+                    iter,
+                    "--requests expects a file of JSON request lines"
+                ))
+            }
             "--batch" => batch_op = true,
             "--stats" => stats = true,
             other => return usage(&format!("unknown client flag {other}")),
@@ -1453,18 +1323,14 @@ fn tune_main(args: Vec<String>) -> ExitCode {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--solves" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => spec.solves = n,
-                _ => return usage("--solves expects an integer >= 1"),
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(s) => spec.seed = s,
-                None => return usage("--seed expects an integer"),
-            },
-            "--window" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(w) => spec.window = w,
-                None => return usage("--window expects an integer >= 0 (0 = unbounded)"),
-            },
+            "--solves" => {
+                spec.solves = flag_value!(iter, "--solves expects an integer >= 1", |&n: &usize| n
+                    >= 1)
+            }
+            "--seed" => spec.seed = flag_value!(iter, "--seed expects an integer"),
+            "--window" => {
+                spec.window = flag_value!(iter, "--window expects an integer >= 0 (0 = unbounded)")
+            }
             "--smoke" => smoke = true,
             other => return usage(&format!("unknown tune flag {other}")),
         }
@@ -1574,34 +1440,17 @@ fn exact_main(args: Vec<String>) -> ExitCode {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--n" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => n = v,
-                _ => return usage("--n expects an integer >= 1"),
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage("--seed expects an integer"),
-            },
-            "--nodes" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_nodes = v,
-                None => return usage("--nodes expects an integer"),
-            },
-            "--millis" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.max_millis = Some(v),
-                None => return usage("--millis expects an integer"),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => cfg.threads = v,
-                _ => return usage("--threads expects an integer >= 1"),
-            },
-            "--cache-gb" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cache_gb = v,
-                None => return usage("--cache-gb expects a number"),
-            },
-            "--procs" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) => procs = v,
-                None => return usage("--procs expects a number"),
-            },
+            "--n" => n = flag_value!(iter, "--n expects an integer >= 1", |&v: &usize| v >= 1),
+            "--seed" => seed = flag_value!(iter, "--seed expects an integer"),
+            "--nodes" => cfg.max_nodes = flag_value!(iter, "--nodes expects an integer"),
+            "--millis" => cfg.max_millis = Some(flag_value!(iter, "--millis expects an integer")),
+            "--threads" => {
+                cfg.threads =
+                    flag_value!(iter, "--threads expects an integer >= 1", |&v: &usize| v
+                        >= 1)
+            }
+            "--cache-gb" => cache_gb = flag_value!(iter, "--cache-gb expects a number"),
+            "--procs" => procs = flag_value!(iter, "--procs expects a number"),
             "--smoke" => smoke = true,
             other => return usage(&format!("unknown exact flag {other}")),
         }
@@ -1776,36 +1625,35 @@ fn cluster_main(args: Vec<String>) -> ExitCode {
                 Some(Err(e)) => return usage(&e),
                 None => return usage("--profile expects constant, step, or bursty"),
             },
-            "--rate" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(r) if r > 0.0 => spec.rate = r,
-                _ => return usage("--rate expects a number > 0 (jobs per reference unit)"),
-            },
-            "--horizon" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(h) if h > 0.0 => spec.horizon = h,
-                _ => return usage("--horizon expects a number > 0 (reference units)"),
-            },
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(s) => spec.seed = s,
-                None => return usage("--seed expects an integer"),
-            },
-            "--solver" => match iter.next() {
+            "--rate" => {
+                spec.rate = flag_value!(
+                    iter,
+                    "--rate expects a number > 0 (jobs per reference unit)",
+                    |&r: &f64| r > 0.0
+                )
+            }
+            "--horizon" => {
+                spec.horizon = flag_value!(
+                    iter,
+                    "--horizon expects a number > 0 (reference units)",
+                    |&h: &f64| h > 0.0
+                )
+            }
+            "--seed" => spec.seed = flag_value!(iter, "--seed expects an integer"),
+            "--solver" => {
                 // Validated through the registry so a typo fails before
                 // the simulation starts ("auto" is registered too).
-                Some(name) => match solver::by_name(&name) {
+                let name: String = flag_value!(iter, "--solver expects a name");
+                match solver::by_name(&name) {
                     Ok(s) => spec.solver = s.name(),
                     Err(e) => return usage(&e.to_string()),
-                },
-                None => return usage("--solver expects a name"),
-            },
-            "--window" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(w) => spec.window = w,
-                None => return usage("--window expects an integer >= 0 (0 = unbounded)"),
-            },
+                }
+            }
+            "--window" => {
+                spec.window = flag_value!(iter, "--window expects an integer >= 0 (0 = unbounded)")
+            }
             "--trace" => print_trace = true,
-            "--trace-out" => match iter.next() {
-                Some(path) => trace_out = Some(PathBuf::from(path)),
-                None => return usage("--trace-out expects a file path"),
-            },
+            "--trace-out" => trace_out = Some(flag_value!(iter, "--trace-out expects a file path")),
             "--smoke" => smoke = true,
             other => return usage(&format!("unknown cluster flag {other}")),
         }

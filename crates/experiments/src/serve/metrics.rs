@@ -1,133 +1,41 @@
-//! Per-shard observability: queue counters shared between the router and
-//! the workers, and the `metrics` op response built from them.
+//! Per-shard observability: one counter set per shard, rendered both as
+//! the JSON `metrics` op and as the `--metrics-addr` Prometheus scrape.
 //!
-//! Each shard owns one [`ShardMetrics`]: the router bumps `enqueued` when
-//! it queues a request, the worker bumps `completed` when it has answered
-//! one, so `enqueued - completed` is the shard's instantaneous queue
-//! depth (the backpressure signal). Solve-tier counters (memo /
-//! incremental / cold) and the aggregated
-//! [`EvalStats`](coschedule::eval::EvalStats) come from the session's own
-//! [`SessionStats`](coschedule::session::SessionStats) snapshot, gathered
-//! through the shard queue so the numbers reflect a drained queue on a
-//! quiet server.
+//! Each shard owns one [`ShardCounters`], created with its
+//! [`ServeState`](super::ServeState) and shared through an `Arc` with
+//! every thread that touches the shard's requests:
+//!
+//! * `protocol::respond` counts each shard-routed request and records
+//!   its dispatch latency (the only request counter);
+//! * the router adds a request to the queue gauge when it enqueues it,
+//!   and the worker takes it off once answered — the instantaneous queue
+//!   depth, the backpressure signal;
+//! * the shard's reactor (sharded server only) counts its open
+//!   connections, `epoll_wait` wakeups and payload bytes.
+//!
+//! A [`ShardRow`] is one shard's ordered list of named values, built by
+//! [`ShardRow::new`] for both outputs. [`metrics_body`] renders every
+//! value as a JSON key; [`prometheus_body`] renders the values read from
+//! [`ShardCounters`] as per-shard families (one table names each one's
+//! key and family), so the two outputs cannot drift apart. Solve-tier
+//! counters (memo / incremental / cold), the aggregated
+//! [`EvalStats`](coschedule::eval::EvalStats), tuner and WAL counters
+//! live on the shard thread: only the `metrics` op reports them, from a
+//! snapshot gathered through the shard queue (so the numbers reflect a
+//! drained queue on a quiet server) — the scrape must stay responsive
+//! while the shards are busy.
 //!
 //! Unlike every other op, the `metrics` response is **not** required to be
 //! payload-identical across worker counts — its `shards` array has one
 //! entry per worker by design.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use coschedule::session::SessionStats;
 use minijson::Json;
 
 use super::wal::WalStats;
-
-/// Lock-free request counters of one shard (see the module docs for who
-/// bumps what).
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    enqueued: AtomicU64,
-    completed: AtomicU64,
-}
-
-impl ShardMetrics {
-    /// Counters resuming at `base` — a restored shard starts with both
-    /// `enqueued` and `completed` at the requests the crashed server had
-    /// already answered, so the `metrics` op's per-shard totals continue
-    /// seamlessly across a `--restore` (and queue depth starts at 0).
-    pub fn with_base(base: u64) -> Self {
-        Self {
-            enqueued: AtomicU64::new(base),
-            completed: AtomicU64::new(base),
-        }
-    }
-
-    /// The router queued one request for this shard.
-    pub fn record_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The worker finished (answered) one request.
-    pub fn record_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests ever routed to this shard.
-    pub fn requests(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
-    }
-
-    /// Requests queued but not yet answered.
-    pub fn queue_depth(&self) -> u64 {
-        self.enqueued
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.completed.load(Ordering::Relaxed))
-    }
-}
-
-/// Lock-free network counters of one reactor (= one shard's event
-/// loop). The reactor thread bumps them; the `metrics` op reads them.
-/// The sequential server has no reactor, so it reports no
-/// [`NetReport`] — its `metrics` payload carries no net columns, the
-/// same opt-in pattern as the `wal_*` columns.
-#[derive(Debug, Default)]
-pub struct NetMetrics {
-    open: AtomicU64,
-    wakeups: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-}
-
-impl NetMetrics {
-    /// The reactor adopted one accepted connection.
-    pub fn record_open(&self) {
-        self.open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The reactor closed one of its connections.
-    pub fn record_close(&self) {
-        self.open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// One `epoll_wait` return (the loop's duty-cycle signal: wakeups
-    /// per request ≈ how well readiness batching amortizes).
-    pub fn record_wakeup(&self) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Payload bytes read off sockets.
-    pub fn add_bytes_in(&self, n: u64) {
-        self.bytes_in.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Payload bytes written to sockets.
-    pub fn add_bytes_out(&self, n: u64) {
-        self.bytes_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A consistent-enough snapshot for the `metrics` op.
-    pub fn report(&self) -> NetReport {
-        NetReport {
-            open_connections: self.open.load(Ordering::Relaxed),
-            reactor_wakeups: self.wakeups.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time values of one shard's [`NetMetrics`].
-#[derive(Debug, Clone, Copy)]
-pub struct NetReport {
-    /// Connections currently owned by the shard's reactor (a gauge).
-    pub open_connections: u64,
-    /// `epoll_wait` returns since startup.
-    pub reactor_wakeups: u64,
-    /// Payload bytes read since startup.
-    pub bytes_in: u64,
-    /// Payload bytes written since startup.
-    pub bytes_out: u64,
-}
 
 /// A fixed-size log2-bucket latency histogram: bucket `i` counts
 /// requests whose dispatch latency `ns` satisfies `⌊log2 ns⌋ = i`
@@ -245,36 +153,13 @@ impl LatencyHistogram {
             (1u64 << (bucket + 1)) - 1
         }
     }
-
-    /// The headline numbers for the `metrics` op.
-    pub fn report(&self) -> LatencyReport {
-        LatencyReport {
-            count: self.count,
-            p50_ns: self.percentile_ns(0.50),
-            p95_ns: self.percentile_ns(0.95),
-            p99_ns: self.percentile_ns(0.99),
-        }
-    }
-}
-
-/// Headline latency numbers of one [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyReport {
-    /// Requests measured.
-    pub count: u64,
-    /// Median dispatch latency (bucket upper bound, ns).
-    pub p50_ns: u64,
-    /// 95th-percentile dispatch latency (bucket upper bound, ns).
-    pub p95_ns: u64,
-    /// 99th-percentile dispatch latency (bucket upper bound, ns).
-    pub p99_ns: u64,
 }
 
 /// [`LatencyHistogram`] with atomic buckets: recorded from the request
 /// path, readable concurrently by the Prometheus endpoint and the
 /// `metrics` op without going through the shard queue. Relaxed ordering
 /// throughout — scrapes see a consistent-enough point-in-time view, and
-/// recording stays two `fetch_add`s.
+/// recording stays three `fetch_add`s.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     counts: [AtomicU64; 64],
@@ -320,27 +205,30 @@ impl AtomicHistogram {
     }
 }
 
-/// One shard's request-path counters shared with threads outside the
-/// shard: the owning [`super::protocol::ServeState`] writes on every
-/// handled request; the `--metrics-addr` scrape thread (and restore
-/// seeding) read/seed it through a cloned [`std::sync::Arc`]. The
-/// histogram base carries across `--restore` exactly like
-/// [`ShardMetrics::with_base`] carries the request counter.
+/// One shard's lock-free counters (see the module docs for who bumps
+/// what). Relaxed ordering throughout: readers want a
+/// consistent-enough point-in-time view, not a synchronisation point.
 #[derive(Debug, Default)]
-pub struct ShardObs {
+pub struct ShardCounters {
     requests: AtomicU64,
+    queued: AtomicU64,
     latency: AtomicHistogram,
+    open: AtomicU64,
+    wakeups: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
 }
 
-impl ShardObs {
+impl ShardCounters {
     /// Counters resuming from a restored snapshot: `requests` at the
-    /// crashed server's count, the histogram seeded with its persisted
-    /// bucket counts.
+    /// crashed server's count and the histogram seeded with its persisted
+    /// bucket counts, so the totals continue seamlessly across a
+    /// `--restore` (queue depth and the network counters start at 0).
     pub fn with_base(requests: u64, latency: &LatencyHistogram) -> Self {
-        let obs = ShardObs::default();
-        obs.requests.store(requests, Ordering::Relaxed);
-        obs.latency.seed(latency);
-        obs
+        let counters = ShardCounters::default();
+        counters.requests.store(requests, Ordering::Relaxed);
+        counters.latency.seed(latency);
+        counters
     }
 
     /// Counts one handled request and its dispatch latency.
@@ -349,26 +237,189 @@ impl ShardObs {
         self.latency.record(latency_ns);
     }
 
+    /// The router queued one request for this shard.
+    pub fn record_enqueued(&self) {
+        self.queued.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The worker finished (answered) one queued request.
+    pub fn record_completed(&self) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The reactor adopted one accepted connection.
+    pub fn record_open(&self) {
+        self.open.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The reactor closed one of its connections.
+    pub fn record_close(&self) {
+        self.open.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// One `epoll_wait` return (the loop's duty-cycle signal: wakeups
+    /// per request ≈ how well readiness batching amortizes).
+    pub fn record_wakeup(&self) {
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Payload bytes read off sockets.
+    pub fn add_bytes_in(&self, n: u64) {
+        self.bytes_in.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Payload bytes written to sockets.
+    pub fn add_bytes_out(&self, n: u64) {
+        self.bytes_out.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Requests handled (mutations + solves + shard-routed reads).
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
 
     /// Point-in-time copy of the dispatch-latency histogram.
-    pub fn latency_snapshot(&self) -> LatencyHistogram {
+    pub fn latency(&self) -> LatencyHistogram {
         self.latency.snapshot()
+    }
+
+    /// Point-in-time values, in [`SERIES`] order.
+    fn values(&self) -> [u64; 6] {
+        [
+            &self.requests,
+            &self.queued,
+            &self.open,
+            &self.wakeups,
+            &self.bytes_in,
+            &self.bytes_out,
+        ]
+        .map(|c| c.load(Ordering::Relaxed))
     }
 }
 
-/// One shard's numbers for the Prometheus endpoint.
-#[derive(Debug, Clone)]
-pub struct PromShard {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Requests handled by the shard.
-    pub requests: u64,
-    /// The shard's dispatch-latency histogram.
-    pub latency: LatencyHistogram,
+/// One [`ShardCounters`] value's `metrics` row key, Prometheus family,
+/// family type and help text.
+type Series = (&'static str, &'static str, &'static str, &'static str);
+
+/// Every [`ShardCounters`] value a row reports, in row order and in the
+/// order of [`ShardCounters::values`]. The first two lead every row; the
+/// other four are the reactor's (sharded server only) and follow the
+/// shard-thread values.
+#[rustfmt::skip]
+static SERIES: [Series; 6] = [
+    ("requests", "cosched_requests_total", "counter", "Requests handled, per shard."),
+    ("queue_depth", "cosched_queue_depth", "gauge", "Requests queued, not yet answered."),
+    ("open_connections", "cosched_open_connections", "gauge", "Open reactor connections."),
+    ("reactor_wakeups", "cosched_reactor_wakeups_total", "counter", "Reactor epoll_wait returns."),
+    ("bytes_in", "cosched_bytes_in_total", "counter", "Payload bytes read off sockets."),
+    ("bytes_out", "cosched_bytes_out_total", "counter", "Payload bytes written to sockets."),
+];
+
+/// The values only the shard's own thread can read, carried into the
+/// `metrics` op's rows by the shard-queue snapshot.
+#[derive(Debug)]
+pub struct ShardLocal {
+    /// Live instances owned by the shard.
+    pub instances: usize,
+    /// The shard session's lifetime counters.
+    pub stats: SessionStats,
+    /// Durability counters — `None` when the server runs `--durability
+    /// none`, in which case no `wal_*` keys appear (the pre-durability
+    /// payload stays byte-identical).
+    pub wal: Option<WalStats>,
+}
+
+/// One named value of a [`ShardRow`]; `series` is set for the values
+/// read from [`ShardCounters`].
+#[derive(Debug)]
+struct Field {
+    key: &'static str,
+    value: u64,
+    series: Option<&'static Series>,
+}
+
+/// One shard's row: its ordered named values plus its latency histogram.
+#[derive(Debug)]
+pub struct ShardRow {
+    shard: usize,
+    fields: Vec<Field>,
+    latency: LatencyHistogram,
+}
+
+impl ShardRow {
+    /// The one row constructor behind both outputs. `reactor` adds the
+    /// network values (sharded server only); `local` adds the shard
+    /// thread's values (the `metrics` op only — the scrape passes
+    /// `None`).
+    pub fn new(
+        shard: usize,
+        counters: &ShardCounters,
+        reactor: bool,
+        local: Option<&ShardLocal>,
+    ) -> ShardRow {
+        let mut counted = SERIES
+            .iter()
+            .zip(counters.values())
+            .map(|(s, value)| Field {
+                key: s.0,
+                value,
+                series: Some(s),
+            });
+        let plain = |(key, value): (&'static str, u64)| Field {
+            key,
+            value,
+            series: None,
+        };
+        let mut fields: Vec<Field> = counted.by_ref().take(2).collect();
+        if let Some(local) = local {
+            let s = &local.stats;
+            fields.extend(
+                [
+                    ("instances", local.instances as u64),
+                    ("mutations", s.mutations),
+                    ("solves", s.solves),
+                    ("memo_hits", s.memo_hits),
+                    ("incremental_solves", s.incremental_solves),
+                    ("cold_solves", s.cold_solves),
+                    ("kernel_calls", s.eval.kernel_calls),
+                    ("apps_evaluated", s.eval.apps_evaluated),
+                    // The shard's autotuner ("auto" solves only; see
+                    // coschedule::tune — each shard session learns its
+                    // own table, so these do not merge across shards).
+                    ("tuner_explored", s.tuner.explored),
+                    ("tuner_committed", s.tuner.committed),
+                    ("tuner_challenger_wins", s.tuner.challenger_wins),
+                    ("tuner_member_solves", s.tuner.member_solves),
+                ]
+                .map(plain),
+            );
+            if let Some(wal) = local.wal {
+                fields.extend(
+                    [
+                        ("wal_records", wal.records),
+                        ("wal_bytes", wal.bytes),
+                        ("wal_fsyncs", wal.fsyncs),
+                        ("wal_snapshot_generation", wal.snapshot_generation),
+                        ("wal_replayed", wal.replayed),
+                    ]
+                    .map(plain),
+                );
+            }
+        }
+        if reactor {
+            fields.extend(counted);
+        }
+        ShardRow {
+            shard,
+            fields,
+            latency: counters.latency(),
+        }
+    }
+
+    /// The value reported under `key`, if the row carries it.
+    pub fn get(&self, key: &str) -> Option<u64> {
+        self.fields.iter().find(|f| f.key == key).map(|f| f.value)
+    }
 }
 
 fn push_seconds(ns: u64, out: &mut String) {
@@ -378,13 +429,14 @@ fn push_seconds(ns: u64, out: &mut String) {
 }
 
 /// Renders the Prometheus text exposition (version 0.0.4) served by
-/// `serve --metrics-addr`: uptime and worker gauges, per-shard request
-/// counters, the trace drop counter, and each shard's log2-ns histogram
-/// converted to cumulative `le`-labelled buckets in seconds.
+/// `serve --metrics-addr`: uptime and worker gauges, the trace drop
+/// counter, one per-shard family for every counter-backed row value (in
+/// row order), and each shard's log2-ns histogram converted to
+/// cumulative `le`-labelled buckets in seconds.
 pub fn prometheus_body(
     uptime_s: f64,
     workers: usize,
-    shards: &[PromShard],
+    rows: &[ShardRow],
     trace_dropped: u64,
 ) -> String {
     let mut out = String::with_capacity(4096);
@@ -397,21 +449,24 @@ pub fn prometheus_body(
     out.push_str("# HELP cosched_trace_dropped_total Trace events lost to ring overwrite.\n");
     out.push_str("# TYPE cosched_trace_dropped_total counter\n");
     out.push_str(&format!("cosched_trace_dropped_total {trace_dropped}\n"));
-    out.push_str("# HELP cosched_requests_total Requests handled, per shard.\n");
-    out.push_str("# TYPE cosched_requests_total counter\n");
-    for s in shards {
-        out.push_str(&format!(
-            "cosched_requests_total{{shard=\"{}\"}} {}\n",
-            s.shard, s.requests
-        ));
+    // Every row of one server has the same layout; the first names the
+    // families (a family's samples must be contiguous).
+    let families = rows.first().map_or(&[][..], |row| &row.fields[..]);
+    for &(key, name, kind, help) in families.iter().filter_map(|f| f.series) {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for row in rows {
+            if let Some(value) = row.get(key) {
+                out.push_str(&format!("{name}{{shard=\"{}\"}} {value}\n", row.shard));
+            }
+        }
     }
     out.push_str("# HELP cosched_request_latency_seconds Request dispatch latency, per shard.\n");
     out.push_str("# TYPE cosched_request_latency_seconds histogram\n");
-    for s in shards {
-        for (upper_ns, cum) in s.latency.cumulative() {
+    for row in rows {
+        for (upper_ns, cum) in row.latency.cumulative() {
             out.push_str(&format!(
                 "cosched_request_latency_seconds_bucket{{shard=\"{}\",le=\"",
-                s.shard
+                row.shard
             ));
             if upper_ns == u64::MAX {
                 out.push_str("+Inf");
@@ -422,177 +477,251 @@ pub fn prometheus_body(
         }
         out.push_str(&format!(
             "cosched_request_latency_seconds_sum{{shard=\"{}\"}} ",
-            s.shard
+            row.shard
         ));
-        push_seconds(s.latency.sum_ns(), &mut out);
+        push_seconds(row.latency.sum_ns(), &mut out);
         out.push('\n');
         out.push_str(&format!(
             "cosched_request_latency_seconds_count{{shard=\"{}\"}} {}\n",
-            s.shard,
-            s.latency.count()
+            row.shard,
+            row.latency.count()
         ));
     }
     out
 }
 
-/// One shard's row of the `metrics` response.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Requests ever routed to the shard.
-    pub requests: u64,
-    /// Requests queued but not yet answered when the report was taken.
-    pub queue_depth: u64,
-    /// Live instances owned by the shard.
-    pub instances: usize,
-    /// The shard session's lifetime counters.
-    pub stats: SessionStats,
-    /// Durability counters — `None` when the server runs `--durability
-    /// none`, in which case no `wal_*` fields appear in the response (the
-    /// pre-durability payload stays byte-identical).
-    pub wal: Option<WalStats>,
-    /// Reactor network counters — `None` on the sequential server, in
-    /// which case no net fields appear in the response (same pattern as
-    /// `wal`).
-    pub net: Option<NetReport>,
-    /// Dispatch-latency histogram — `None` until the shard has answered
-    /// at least one routed request, in which case no `latency_*` fields
-    /// appear (same opt-in pattern as `wal`/`net`; the histogram lives
-    /// in memory only, so a freshly restored server starts empty).
-    pub latency: Option<LatencyHistogram>,
+/// Appends the headline latency keys of `hist`: its count and its p50,
+/// p95 and p99 (bucket upper bounds, ns).
+fn push_latency(pairs: &mut Vec<(String, Json)>, hist: &LatencyHistogram) {
+    pairs.push(("latency_count".to_string(), Json::from(hist.count())));
+    for (key, q) in [
+        ("latency_p50_ns", 0.50),
+        ("latency_p95_ns", 0.95),
+        ("latency_p99_ns", 0.99),
+    ] {
+        pairs.push((key.to_string(), Json::from(hist.percentile_ns(q))));
+    }
 }
 
 /// Serializes the `metrics` op response: per-shard rows plus the request
 /// total. The single-session server reports itself as one shard of one.
-pub(super) fn metrics_body(workers: usize, reports: &[ShardReport]) -> Json {
-    let total: u64 = reports.iter().map(|r| r.requests).sum();
+/// A shard's `latency_*` keys appear once it has answered a request
+/// (a restored shard resumes from its snapshot's histogram).
+pub(super) fn metrics_body(workers: usize, rows: &[ShardRow]) -> Json {
+    let total: u64 = rows.iter().filter_map(|r| r.get("requests")).sum();
     // Per-shard histograms merge exactly, so the top-level percentiles
     // are computed over every recorded request, not averaged estimates.
     let mut merged = LatencyHistogram::default();
-    for hist in reports.iter().filter_map(|r| r.latency.as_ref()) {
-        merged.merge(hist);
+    for row in rows {
+        merged.merge(&row.latency);
     }
-    let mut body = Json::obj([
-        ("ok", Json::from(true)),
-        ("workers", Json::from(workers)),
-        ("requests", Json::from(total)),
-        (
-            "shards",
-            Json::arr(reports.iter().map(|r| {
-                let mut row = Json::obj([
-                    ("shard", Json::from(r.shard)),
-                    ("requests", Json::from(r.requests)),
-                    ("queue_depth", Json::from(r.queue_depth)),
-                    ("instances", Json::from(r.instances)),
-                    ("mutations", Json::from(r.stats.mutations)),
-                    ("solves", Json::from(r.stats.solves)),
-                    ("memo_hits", Json::from(r.stats.memo_hits)),
-                    ("incremental_solves", Json::from(r.stats.incremental_solves)),
-                    ("cold_solves", Json::from(r.stats.cold_solves)),
-                    ("kernel_calls", Json::from(r.stats.eval.kernel_calls)),
-                    ("apps_evaluated", Json::from(r.stats.eval.apps_evaluated)),
-                    // The shard's autotuner ("auto" solves only; see
-                    // coschedule::tune — each shard session learns its own
-                    // table, so these do not merge across shards).
-                    ("tuner_explored", Json::from(r.stats.tuner.explored)),
-                    ("tuner_committed", Json::from(r.stats.tuner.committed)),
-                    (
-                        "tuner_challenger_wins",
-                        Json::from(r.stats.tuner.challenger_wins),
-                    ),
-                    (
-                        "tuner_member_solves",
-                        Json::from(r.stats.tuner.member_solves),
-                    ),
-                ]);
-                if let (Json::Obj(pairs), Some(wal)) = (&mut row, r.wal) {
-                    pairs.push(("wal_records".to_string(), Json::from(wal.records)));
-                    pairs.push(("wal_bytes".to_string(), Json::from(wal.bytes)));
-                    pairs.push(("wal_fsyncs".to_string(), Json::from(wal.fsyncs)));
-                    pairs.push((
-                        "wal_snapshot_generation".to_string(),
-                        Json::from(wal.snapshot_generation),
-                    ));
-                    pairs.push(("wal_replayed".to_string(), Json::from(wal.replayed)));
-                }
-                if let (Json::Obj(pairs), Some(net)) = (&mut row, r.net) {
-                    pairs.push((
-                        "open_connections".to_string(),
-                        Json::from(net.open_connections),
-                    ));
-                    pairs.push((
-                        "reactor_wakeups".to_string(),
-                        Json::from(net.reactor_wakeups),
-                    ));
-                    pairs.push(("bytes_in".to_string(), Json::from(net.bytes_in)));
-                    pairs.push(("bytes_out".to_string(), Json::from(net.bytes_out)));
-                }
-                if let (Json::Obj(pairs), Some(hist)) = (&mut row, r.latency.as_ref()) {
-                    let lat = hist.report();
-                    pairs.push(("latency_count".to_string(), Json::from(lat.count)));
-                    pairs.push(("latency_p50_ns".to_string(), Json::from(lat.p50_ns)));
-                    pairs.push(("latency_p95_ns".to_string(), Json::from(lat.p95_ns)));
-                    pairs.push(("latency_p99_ns".to_string(), Json::from(lat.p99_ns)));
-                }
-                row
-            })),
-        ),
-    ]);
-    if let Json::Obj(pairs) = &mut body {
-        if merged.count() > 0 {
-            let lat = merged.report();
-            pairs.push(("latency_count".to_string(), Json::from(lat.count)));
-            pairs.push(("latency_p50_ns".to_string(), Json::from(lat.p50_ns)));
-            pairs.push(("latency_p95_ns".to_string(), Json::from(lat.p95_ns)));
-            pairs.push(("latency_p99_ns".to_string(), Json::from(lat.p99_ns)));
+    let shards = rows.iter().map(|r| {
+        let mut pairs = vec![("shard".to_string(), Json::from(r.shard))];
+        pairs.extend(
+            r.fields
+                .iter()
+                .map(|f| (f.key.to_string(), Json::from(f.value))),
+        );
+        if r.latency.count() > 0 {
+            push_latency(&mut pairs, &r.latency);
+        }
+        Json::Obj(pairs)
+    });
+    let mut pairs = vec![
+        ("ok".to_string(), Json::from(true)),
+        ("workers".to_string(), Json::from(workers)),
+        ("requests".to_string(), Json::from(total)),
+        ("shards".to_string(), Json::arr(shards)),
+    ];
+    if merged.count() > 0 {
+        push_latency(&mut pairs, &merged);
+    }
+    Json::Obj(pairs)
+}
+
+/// One `GET /metrics` over a throwaway HTTP/1.0 connection; returns the
+/// response body (everything after the blank line).
+pub fn http_get(addr: std::net::SocketAddr) -> std::io::Result<String> {
+    use std::io::{Read as _, Write as _};
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: cosched\r\n\r\n")?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    match response.split_once("\r\n\r\n") {
+        Some((head, body)) if head.starts_with("HTTP/1.0 200") => Ok(body.to_string()),
+        Some((head, _)) => Err(std::io::Error::other(format!(
+            "unexpected status line: {:?}",
+            head.lines().next().unwrap_or("")
+        ))),
+        None => Err(std::io::Error::other("no header/body separator")),
+    }
+}
+
+/// Line-lints a Prometheus text exposition: every line is a comment
+/// (`# HELP` / `# TYPE`) or a `name{labels} value` sample whose name is
+/// a valid metric identifier and whose value parses as a float. Returns
+/// the number of sample lines, and requires the families the serve
+/// exposition promises — the network families too when `cosched_workers`
+/// reports a sharded server (whose shards each run a reactor).
+pub fn lint_prometheus(body: &str) -> Result<usize, String> {
+    let mut samples = 0usize;
+    let mut names = BTreeSet::new();
+    let mut workers = None;
+    for (n, line) in body.lines().enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(comment) = line.strip_prefix('#') {
+            let comment = comment.trim_start();
+            if !comment.starts_with("HELP ") && !comment.starts_with("TYPE ") {
+                return Err(format!("line {}: unknown comment form: {line:?}", n + 1));
+            }
+            continue;
+        }
+        let (metric, value) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| format!("line {}: no value separator: {line:?}", n + 1))?;
+        let name = metric.split('{').next().unwrap_or("");
+        let valid_name = !name.is_empty()
+            && name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+            && !name.starts_with(|c: char| c.is_ascii_digit());
+        if !valid_name {
+            return Err(format!("line {}: invalid metric name {name:?}", n + 1));
+        }
+        if metric.contains('{') && !metric.ends_with('}') {
+            return Err(format!("line {}: unterminated label set: {line:?}", n + 1));
+        }
+        let value = value
+            .parse::<f64>()
+            .map_err(|_| format!("line {}: unparseable value {value:?}", n + 1))?;
+        if name == "cosched_workers" {
+            workers = Some(value);
+        }
+        names.insert(name);
+        samples += 1;
+    }
+    let workers = workers.ok_or("missing metric family cosched_workers")?;
+    let mut required = vec![
+        "cosched_uptime_seconds",
+        "cosched_trace_dropped_total",
+        "cosched_requests_total",
+        "cosched_queue_depth",
+        "cosched_request_latency_seconds_bucket",
+        "cosched_request_latency_seconds_sum",
+        "cosched_request_latency_seconds_count",
+    ];
+    if workers >= 2.0 {
+        required.extend([
+            "cosched_open_connections",
+            "cosched_reactor_wakeups_total",
+            "cosched_bytes_in_total",
+            "cosched_bytes_out_total",
+        ]);
+    }
+    for family in required {
+        if !names.contains(family) {
+            return Err(format!("missing metric family {family}"));
         }
     }
-    body
+    Ok(samples)
+}
+
+/// Parses a `--trace-out` file and checks it is a loadable Chrome trace:
+/// a `traceEvents` array of well-formed events — every complete (`"X"`)
+/// event carrying `ts` and `dur` (begin/end matched by construction) —
+/// with the serve request spans present. Returns the event count.
+pub fn validate_chrome_trace(path: &std::path::Path) -> Result<usize, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let v = Json::parse(&text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let events = v
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .ok_or("no traceEvents array")?;
+    if events.is_empty() {
+        return Err("traceEvents is empty".to_string());
+    }
+    let mut complete = 0usize;
+    let mut names = BTreeSet::new();
+    for (k, event) in events.iter().enumerate() {
+        let name = event
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {k} has no name"))?;
+        let ph = event
+            .get("ph")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("event {k} ({name}) has no ph"))?;
+        if event.get("ts").is_none() {
+            return Err(format!("event {k} ({name}) has no ts"));
+        }
+        match ph {
+            "X" => {
+                if event.get("dur").is_none() {
+                    return Err(format!("complete event {k} ({name}) has no dur"));
+                }
+                complete += 1;
+            }
+            "i" => {}
+            other => return Err(format!("event {k} ({name}) has unexpected ph {other:?}")),
+        }
+        names.insert(name.to_string());
+    }
+    if complete == 0 {
+        return Err("no complete (ph=X) events".to_string());
+    }
+    for expected in ["op_create", "op_solve", "op_mutate"] {
+        if !names.contains(expected) {
+            return Err(format!(
+                "expected span {expected:?} missing (saw {names:?})"
+            ));
+        }
+    }
+    Ok(events.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn local(instances: usize, wal: Option<WalStats>) -> ShardLocal {
+        ShardLocal {
+            instances,
+            stats: SessionStats::default(),
+            wal,
+        }
+    }
+
+    fn counters_with(requests: u64, latency: &[u64]) -> ShardCounters {
+        let counters = ShardCounters::with_base(requests, &LatencyHistogram::default());
+        for &ns in latency {
+            counters.latency.record(ns);
+        }
+        counters
+    }
+
     #[test]
     fn queue_depth_is_enqueued_minus_completed() {
-        let m = ShardMetrics::default();
-        assert_eq!(m.queue_depth(), 0);
-        m.record_enqueued();
-        m.record_enqueued();
-        assert_eq!(m.requests(), 2);
-        assert_eq!(m.queue_depth(), 2);
-        m.record_completed();
-        assert_eq!(m.queue_depth(), 1);
-        m.record_completed();
-        assert_eq!(m.queue_depth(), 0);
-        assert_eq!(m.requests(), 2);
+        let c = ShardCounters::default();
+        let depth = |c: &ShardCounters| ShardRow::new(0, c, false, None).get("queue_depth");
+        assert_eq!(depth(&c), Some(0));
+        c.record_enqueued();
+        c.record_enqueued();
+        assert_eq!(depth(&c), Some(2));
+        c.record_completed();
+        assert_eq!(depth(&c), Some(1));
+        c.record_completed();
+        assert_eq!(depth(&c), Some(0));
     }
 
     #[test]
     fn body_sums_requests_across_shards() {
+        let (a, b) = (counters_with(3, &[]), counters_with(4, &[]));
+        a.record_enqueued();
         let rows = [
-            ShardReport {
-                shard: 0,
-                requests: 3,
-                queue_depth: 1,
-                instances: 2,
-                stats: SessionStats::default(),
-                wal: None,
-                net: None,
-                latency: None,
-            },
-            ShardReport {
-                shard: 1,
-                requests: 4,
-                queue_depth: 0,
-                instances: 1,
-                stats: SessionStats::default(),
-                wal: None,
-                net: None,
-                latency: None,
-            },
+            ShardRow::new(0, &a, false, Some(&local(2, None))),
+            ShardRow::new(1, &b, false, Some(&local(1, None))),
         ];
         let v = metrics_body(2, &rows);
         assert_eq!(v.get("workers").and_then(Json::as_u64), Some(2));
@@ -609,22 +738,14 @@ mod tests {
 
     #[test]
     fn wal_columns_appear_when_durability_is_on() {
-        let row = ShardReport {
-            shard: 0,
-            requests: 9,
-            queue_depth: 0,
-            instances: 1,
-            stats: SessionStats::default(),
-            wal: Some(WalStats {
-                records: 5,
-                bytes: 99,
-                fsyncs: 2,
-                snapshot_generation: 3,
-                replayed: 4,
-            }),
-            net: None,
-            latency: None,
+        let wal = WalStats {
+            records: 5,
+            bytes: 99,
+            fsyncs: 2,
+            snapshot_generation: 3,
+            replayed: 4,
         };
+        let row = ShardRow::new(0, &counters_with(9, &[]), false, Some(&local(1, Some(wal))));
         let v = metrics_body(1, &[row]);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(shards[0].get("wal_records").and_then(Json::as_u64), Some(5));
@@ -644,24 +765,14 @@ mod tests {
 
     #[test]
     fn net_columns_appear_when_a_reactor_reports() {
-        let net = NetMetrics::default();
-        net.record_open();
-        net.record_open();
-        net.record_close();
-        net.record_wakeup();
-        net.add_bytes_in(10);
-        net.add_bytes_out(25);
-        let row = ShardReport {
-            shard: 0,
-            requests: 1,
-            queue_depth: 0,
-            instances: 0,
-            stats: SessionStats::default(),
-            wal: None,
-            net: Some(net.report()),
-            latency: None,
-        };
-        let v = metrics_body(1, &[row]);
+        let c = counters_with(1, &[]);
+        c.record_open();
+        c.record_open();
+        c.record_close();
+        c.record_wakeup();
+        c.add_bytes_in(10);
+        c.add_bytes_out(25);
+        let v = metrics_body(1, &[ShardRow::new(0, &c, true, Some(&local(0, None)))]);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(
             shards[0].get("open_connections").and_then(Json::as_u64),
@@ -673,6 +784,88 @@ mod tests {
         );
         assert_eq!(shards[0].get("bytes_in").and_then(Json::as_u64), Some(10));
         assert_eq!(shards[0].get("bytes_out").and_then(Json::as_u64), Some(25));
+    }
+
+    /// The full key order of a durable reactor row: counters, session,
+    /// tuner, WAL, network, latency — the wire layout clients parse.
+    #[test]
+    fn row_keys_keep_their_wire_order() {
+        let wal = WalStats {
+            records: 0,
+            bytes: 0,
+            fsyncs: 0,
+            snapshot_generation: 0,
+            replayed: 0,
+        };
+        let c = counters_with(1, &[100]);
+        let v = metrics_body(2, &[ShardRow::new(0, &c, true, Some(&local(0, Some(wal))))]);
+        let Some(Json::Arr(shards)) = v.get("shards") else {
+            panic!("no shards array")
+        };
+        let Json::Obj(pairs) = &shards[0] else {
+            panic!("row is not an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "shard",
+                "requests",
+                "queue_depth",
+                "instances",
+                "mutations",
+                "solves",
+                "memo_hits",
+                "incremental_solves",
+                "cold_solves",
+                "kernel_calls",
+                "apps_evaluated",
+                "tuner_explored",
+                "tuner_committed",
+                "tuner_challenger_wins",
+                "tuner_member_solves",
+                "wal_records",
+                "wal_bytes",
+                "wal_fsyncs",
+                "wal_snapshot_generation",
+                "wal_replayed",
+                "open_connections",
+                "reactor_wakeups",
+                "bytes_in",
+                "bytes_out",
+                "latency_count",
+                "latency_p50_ns",
+                "latency_p95_ns",
+                "latency_p99_ns",
+            ]
+        );
+    }
+
+    /// Every counter-backed value a scrape row carries is exported as a
+    /// per-shard family with the same value.
+    #[test]
+    fn scrape_exports_every_counter_value() {
+        let c = counters_with(5, &[1_000]);
+        c.record_enqueued();
+        c.record_open();
+        c.add_bytes_out(7);
+        let row = ShardRow::new(3, &c, true, None);
+        let body = prometheus_body(1.0, 4, std::slice::from_ref(&row), 0);
+        for &(key, name, ..) in &SERIES {
+            let sample = format!("{name}{{shard=\"3\"}} {}\n", row.get(key).unwrap());
+            assert!(body.contains(&sample), "missing {sample:?} in\n{body}");
+        }
+        lint_prometheus(&body).expect("lint");
+    }
+
+    #[test]
+    fn lint_requires_the_network_families_on_a_sharded_server() {
+        let c = ShardCounters::default();
+        let sequential = prometheus_body(1.0, 1, &[ShardRow::new(0, &c, false, None)], 0);
+        lint_prometheus(&sequential).expect("a sequential scrape has no reactor families");
+        let sharded = prometheus_body(1.0, 2, &[ShardRow::new(0, &c, false, None)], 0);
+        let err = lint_prometheus(&sharded).expect_err("reactor families missing");
+        assert!(err.contains("cosched_open_connections"), "{err}");
     }
 
     #[test]
@@ -688,9 +881,9 @@ mod tests {
         h.record(1000);
         assert_eq!(h.percentile_ns(0.99), 1023);
         assert_eq!(h.percentile_ns(0.50), 1);
-        let r = h.report();
-        assert_eq!(r.count, 3);
-        assert!(r.p50_ns <= r.p95_ns && r.p95_ns <= r.p99_ns);
+        assert_eq!(h.count(), 3);
+        assert!(h.percentile_ns(0.50) <= h.percentile_ns(0.95));
+        assert!(h.percentile_ns(0.95) <= h.percentile_ns(0.99));
         // u64::MAX saturates into the top bucket without panicking.
         h.record(u64::MAX);
         assert_eq!(h.percentile_ns(1.0), u64::MAX);
@@ -714,32 +907,15 @@ mod tests {
         merged.merge(&left);
         merged.merge(&right);
         assert_eq!(merged, whole);
-        assert_eq!(merged.report(), whole.report());
     }
 
     #[test]
     fn latency_columns_appear_per_shard_and_merged() {
-        let mut slow = LatencyHistogram::default();
-        slow.record(1 << 20);
-        let mut fast = LatencyHistogram::default();
-        fast.record(100);
-        let base = ShardReport {
-            shard: 0,
-            requests: 1,
-            queue_depth: 0,
-            instances: 0,
-            stats: SessionStats::default(),
-            wal: None,
-            net: None,
-            latency: Some(slow),
-        };
+        let slow = counters_with(1, &[1 << 20]);
+        let fast = counters_with(1, &[100]);
         let rows = [
-            base.clone(),
-            ShardReport {
-                shard: 1,
-                latency: Some(fast),
-                ..base
-            },
+            ShardRow::new(0, &slow, false, Some(&local(0, None))),
+            ShardRow::new(1, &fast, false, Some(&local(0, None))),
         ];
         let v = metrics_body(2, &rows);
         let shards = v.get("shards").and_then(Json::as_array).unwrap();
@@ -756,12 +932,15 @@ mod tests {
         );
         assert_eq!(v.get("latency_p50_ns").and_then(Json::as_u64), Some(127));
         // Idle shards opt out: no latency columns anywhere.
+        let idle_counters = counters_with(1, &[]);
         let idle = metrics_body(
             1,
-            &[ShardReport {
-                latency: None,
-                ..rows[0].clone()
-            }],
+            &[ShardRow::new(
+                0,
+                &idle_counters,
+                false,
+                Some(&local(0, None)),
+            )],
         );
         assert!(idle.get("latency_count").is_none());
         let shards = idle.get("shards").and_then(Json::as_array).unwrap();

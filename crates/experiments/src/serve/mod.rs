@@ -53,9 +53,12 @@
 //! * [`frame`] — the opt-in length-prefixed binary wire format,
 //!   negotiated by a `{"op":"hello","frame":"binary"}` first line
 //!   (JSON stays the reference protocol and byte-identity oracle);
-//! * [`metrics`] — per-shard counters behind the `metrics` op: requests,
-//!   queue depth, solves by tier (memo / incremental / cold), aggregated
-//!   eval-engine work;
+//! * [`metrics`] — one counter set per shard (requests, dispatch
+//!   latency, queue depth, and the reactor's connections, wakeups and
+//!   bytes), rendered through one row layout as both the `metrics` op
+//!   and the `--metrics-addr` Prometheus scrape; the op adds the
+//!   shard-thread values (solves by tier, eval-engine work, tuner and
+//!   WAL counters);
 //! * [`wal`] — durability: per-shard snapshots + write-ahead logs
 //!   (`--durability log|fsync`), crash recovery (`--restore DIR`), and
 //!   the warm standby (`cosched standby`). Recovery replays the log
@@ -350,16 +353,10 @@ impl Server {
     fn run_states(self, mut states: Vec<ServeState>) -> std::io::Result<()> {
         // The metrics listener runs on its own thread for both
         // front-ends, reading each shard's atomic counters through
-        // `Arc<ShardObs>` handles cloned before the states move into
-        // their workers.
+        // handles cloned before the states move into their workers.
         if let Some(addr) = self.config.metrics_addr.clone() {
-            let handles: Vec<_> = states.iter().map(ServeState::obs_handle).collect();
-            spawn_metrics_listener(
-                &addr,
-                Arc::clone(&self.metrics_bound),
-                states.len().max(1),
-                handles,
-            )?;
+            let counters = states.iter().map(|s| Arc::clone(s.counters())).collect();
+            spawn_metrics_listener(&addr, Arc::clone(&self.metrics_bound), counters)?;
         }
         let trace_out = self.config.trace_out.clone();
         let result = if states.len() <= 1 {
@@ -405,11 +402,19 @@ impl Server {
     fn run_reactor(self, states: Vec<ServeState>) -> std::io::Result<()> {
         let wake = wake_addr(self.listener.local_addr()?);
         let shards = states.len();
-        let router = Arc::new(router::Router::new(&self.config, states));
+        let counters: Vec<_> = states.iter().map(|s| Arc::clone(s.counters())).collect();
+        let completions = (0..shards)
+            .map(|_| reactor::Completions::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let router = Arc::new(router::Router::new(
+            &self.config,
+            states,
+            completions.clone(),
+        ));
         let mut reactors: Vec<reactor::Reactor> = Vec::with_capacity(shards);
         let mut spawn_error = None;
-        for shard in 0..shards {
-            match reactor::Reactor::spawn(shard, Arc::clone(&router), wake) {
+        for (shard, (completions, counters)) in completions.into_iter().zip(counters).enumerate() {
+            match reactor::Reactor::spawn(shard, Arc::clone(&router), completions, counters, wake) {
                 Ok(r) => reactors.push(r),
                 Err(e) => {
                     spawn_error = Some(e);
@@ -431,7 +436,6 @@ impl Server {
             }
             return Err(e);
         }
-        router.attach_reactors(reactors.iter().map(reactor::Reactor::hook).collect());
         let mut result = Ok(());
         let mut next = 0usize;
         for stream in self.listener.incoming() {
@@ -485,8 +489,7 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
 fn spawn_metrics_listener(
     addr: &str,
     bound: Arc<OnceLock<SocketAddr>>,
-    workers: usize,
-    handles: Vec<Arc<metrics::ShardObs>>,
+    counters: Vec<Arc<metrics::ShardCounters>>,
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     let _ = bound.set(listener.local_addr()?);
@@ -498,7 +501,7 @@ fn spawn_metrics_listener(
                 let Ok(mut stream) = stream else { continue };
                 // Best effort per scrape: a broken pipe drops the
                 // connection, not the listener.
-                let _ = serve_metrics_scrape(&mut stream, started, workers, &handles);
+                let _ = serve_metrics_scrape(&mut stream, started, &counters);
             }
         })
         .expect("spawn metrics listener");
@@ -511,8 +514,7 @@ fn spawn_metrics_listener(
 fn serve_metrics_scrape(
     stream: &mut TcpStream,
     started: std::time::Instant,
-    workers: usize,
-    handles: &[Arc<metrics::ShardObs>],
+    counters: &[Arc<metrics::ShardCounters>],
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
@@ -522,19 +524,17 @@ fn serve_metrics_scrape(
             break;
         }
     }
-    let shards: Vec<metrics::PromShard> = handles
+    // The sharded server (two or more shards) runs one reactor per shard.
+    let reactor = counters.len() >= 2;
+    let rows: Vec<metrics::ShardRow> = counters
         .iter()
         .enumerate()
-        .map(|(shard, obs)| metrics::PromShard {
-            shard,
-            requests: obs.requests(),
-            latency: obs.latency_snapshot(),
-        })
+        .map(|(shard, c)| metrics::ShardRow::new(shard, c, reactor, None))
         .collect();
     let body = metrics::prometheus_body(
         started.elapsed().as_secs_f64(),
-        workers,
-        &shards,
+        counters.len().max(1),
+        &rows,
         coschedule::obs::dropped_total(),
     );
     let response = format!(

@@ -17,11 +17,12 @@ use std::sync::Arc;
 
 use coschedule::model::{Application, Platform};
 use coschedule::obs;
+pub use coschedule::persist::app_to_json;
 use coschedule::session::{InstanceInfo, Session, SessionStats};
 use coschedule::solver;
 use minijson::Json;
 
-use super::metrics::{metrics_body, LatencyHistogram, ShardObs, ShardReport};
+use super::metrics::{metrics_body, LatencyHistogram, ShardCounters, ShardLocal, ShardRow};
 use super::wal::{WalStats, WalWriter};
 
 /// Every op the protocol understands, in dispatch order — the single
@@ -60,14 +61,16 @@ pub struct ServeState {
     /// --allow-shutdown`, and always in loopback smoke tests).
     pub allow_shutdown: bool,
     shutdown_requested: bool,
-    /// Shard-routed request counter + dispatch-latency histogram (what
-    /// the `metrics` op reports; global ops like `stats` are excluded so
-    /// the counter matches the per-shard queue counters of the sharded
-    /// server). Shared as an [`Arc`] so the `--metrics-addr` scrape
-    /// thread reads it without going through the shard queue; the
-    /// histogram base is persisted in WAL snapshots and carried across
-    /// `--restore` like the request counter.
-    obs: Arc<ShardObs>,
+    /// This shard's counters: the shard-routed request counter and
+    /// dispatch-latency histogram bumped by [`respond`] (global ops like
+    /// `stats` are excluded, so `--workers 1` and `--workers N` count the
+    /// same requests), plus the queue and network counters the sharded
+    /// server's router, worker and reactor bump. Shared as an [`Arc`] so
+    /// those threads and the `--metrics-addr` scrape thread reach it
+    /// without going through the shard queue; the request count and
+    /// histogram base are persisted in WAL snapshots and carried across
+    /// `--restore`.
+    counters: Arc<ShardCounters>,
     /// Write-ahead log, attached when the server runs with `--durability
     /// log|fsync`. [`respond`] appends every shard-routed request to it
     /// *before* dispatching; the transport layer calls
@@ -108,7 +111,7 @@ impl ServeState {
             default_seed: 0xC05,
             allow_shutdown: false,
             shutdown_requested: false,
-            obs: Arc::new(ShardObs::default()),
+            counters: Arc::default(),
             wal: None,
             shard: 0,
             echo_trace: false,
@@ -123,14 +126,24 @@ impl ServeState {
     /// exactly as the original ops did).
     pub fn restore(session: Session, requests: u64, latency: LatencyHistogram) -> Self {
         let mut state = Self::with_session(session);
-        state.obs = Arc::new(ShardObs::with_base(requests, &latency));
+        state.counters = Arc::new(ShardCounters::with_base(requests, &latency));
         state
     }
 
-    /// The shared request/latency counters (the `--metrics-addr` scrape
-    /// thread clones this handle).
-    pub fn obs_handle(&self) -> Arc<ShardObs> {
-        Arc::clone(&self.obs)
+    /// This shard's counters (the worker, the reactor and the
+    /// `--metrics-addr` scrape thread each clone the handle).
+    pub fn counters(&self) -> &Arc<ShardCounters> {
+        &self.counters
+    }
+
+    /// The values of this shard's `metrics` row that only the shard's
+    /// own thread can read.
+    pub fn local_metrics(&self) -> ShardLocal {
+        ShardLocal {
+            instances: self.session.len(),
+            stats: self.session.stats(),
+            wal: self.wal_stats(),
+        }
     }
 
     /// Starts logging every shard-routed op to `writer`. Attached *after*
@@ -164,8 +177,8 @@ impl ServeState {
             if wal.should_rotate() {
                 wal.rotate(
                     &self.session,
-                    self.obs.requests(),
-                    &self.obs.latency_snapshot(),
+                    self.counters.requests(),
+                    &self.counters.latency(),
                 )
                 .expect("write-ahead log rotation failed");
             }
@@ -189,7 +202,7 @@ impl ServeState {
 
     /// Shard-routed requests handled so far.
     pub fn requests(&self) -> u64 {
-        self.obs.requests()
+        self.counters.requests()
     }
 
     /// The dispatch-latency histogram, `None` until a shard-routed
@@ -197,7 +210,7 @@ impl ServeState {
     /// columns for an idle shard (a restored shard resumes from its
     /// snapshot's histogram, so it usually reports immediately).
     pub fn latency_snapshot(&self) -> Option<LatencyHistogram> {
-        let snap = self.obs.latency_snapshot();
+        let snap = self.counters.latency();
         (snap.count() > 0).then_some(snap)
     }
 }
@@ -256,7 +269,7 @@ pub fn respond(state: &mut ServeState, request: &Json) -> Json {
         let dispatch_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Count what a shard queue would carry; global ops are answered
         // by the router in the sharded server and never reach a shard.
-        state.obs.record_request(dispatch_ns);
+        state.counters.record_request(dispatch_ns);
         if let Some(slow_ms) = state.slow_ms {
             if dispatch_ns / 1_000_000 >= slow_ms {
                 eprintln!(
@@ -331,19 +344,15 @@ fn dispatch(state: &mut ServeState, request: &Json) -> Result<Json, String> {
         "stats" => Ok(stats_body(state.session.len(), state.session.stats())),
         "list" => Ok(list_body(&state.session.list())),
         "solvers" => Ok(solvers_body()),
+        // The sequential server has no reactor: no network values.
         "metrics" => Ok(metrics_body(
             1,
-            &[ShardReport {
-                shard: 0,
-                requests: state.obs.requests(),
-                queue_depth: 0,
-                instances: state.session.len(),
-                stats: state.session.stats(),
-                wal: state.wal_stats(),
-                // The sequential server has no reactor; no net columns.
-                net: None,
-                latency: state.latency_snapshot(),
-            }],
+            &[ShardRow::new(
+                0,
+                &state.counters,
+                false,
+                Some(&state.local_metrics()),
+            )],
         )),
         "trace" => Ok(op_trace(state)),
         "close" => op_close(state, request),
@@ -714,22 +723,6 @@ pub fn app_from_json(v: &Json) -> Result<Application, String> {
         app = app.with_footprint(footprint);
     }
     Ok(app)
-}
-
-/// Serializes one application the way [`app_from_json`] reads it (the
-/// infinite default footprint is an absent field — JSON has no `inf`).
-pub fn app_to_json(app: &Application) -> Json {
-    let mut pairs = vec![
-        ("name".to_string(), Json::from(app.name.as_str())),
-        ("work".to_string(), Json::from(app.work)),
-        ("seq_fraction".to_string(), Json::from(app.seq_fraction)),
-        ("access_freq".to_string(), Json::from(app.access_freq)),
-        ("miss_rate_ref".to_string(), Json::from(app.miss_rate_ref)),
-    ];
-    if app.footprint.is_finite() {
-        pairs.push(("footprint".to_string(), Json::from(app.footprint)));
-    }
-    Json::Obj(pairs)
 }
 
 /// Parses a platform object for `create`: starts from

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use miniepoll::{Epoll, Event, EventFd, Interest};
 
 use super::frame::{self, FrameDecoder, FrameMode, Negotiation};
-use super::metrics::NetMetrics;
+use super::metrics::ShardCounters;
 use super::router::Router;
 use super::worker::ResponseSink;
 
@@ -65,6 +65,12 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// shard workers (any shard — a connection's requests fan out), plus
 /// the eventfd that wakes the reactor's `epoll_wait`. Unbounded by
 /// design; see [`ResponseSink`].
+///
+/// Cache-line aligned: the server allocates every reactor's mailbox
+/// back to back, and each is written on every request by its own
+/// reactor and workers — unpadded, neighbouring mailboxes would share
+/// a line and bounce it between cores.
+#[repr(align(128))]
 pub(super) struct Completions {
     queue: Mutex<Vec<(u64, u64, String)>>,
     wake: EventFd,
@@ -79,6 +85,16 @@ pub(super) struct Completions {
 }
 
 impl Completions {
+    /// An empty mailbox with its own eventfd (fails where the platform
+    /// has no eventfd, which stops a sharded server at startup).
+    pub fn new() -> io::Result<Completions> {
+        Ok(Completions {
+            queue: Mutex::new(Vec::new()),
+            wake: EventFd::new()?,
+            parked: AtomicBool::new(false),
+        })
+    }
+
     /// Deposits `(connection token, request seq, response)` and wakes
     /// the owning reactor if it is parked. A non-empty queue means an
     /// undrained signal (or a pre-sleep re-check) already covers us, so
@@ -124,33 +140,33 @@ struct Inbox {
 pub(super) struct Reactor {
     completions: Arc<Completions>,
     inbox: Arc<Inbox>,
-    net: Arc<NetMetrics>,
     handle: JoinHandle<()>,
 }
 
 impl Reactor {
-    /// Spawns shard `shard`'s reactor. Fails (cleanly, before spawning)
-    /// when the platform has no epoll, which stops a sharded server at
-    /// startup.
-    pub fn spawn(shard: usize, router: Arc<Router>, wake_addr: SocketAddr) -> io::Result<Reactor> {
+    /// Spawns shard `shard`'s reactor around its mailbox (the one the
+    /// router signals) and the shard's counters (which it bumps with its
+    /// network activity). Fails (cleanly, before spawning) when the
+    /// platform has no epoll, which stops a sharded server at startup.
+    pub fn spawn(
+        shard: usize,
+        router: Arc<Router>,
+        completions: Arc<Completions>,
+        counters: Arc<ShardCounters>,
+        wake_addr: SocketAddr,
+    ) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            wake: EventFd::new()?,
-            parked: AtomicBool::new(false),
-        });
         epoll.add(completions.wake.fd(), WAKE_TOKEN, Interest::READABLE)?;
         let inbox = Arc::new(Inbox {
             conns: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
         });
-        let net = Arc::new(NetMetrics::default());
         let loop_state = Loop {
             epoll,
             router,
             completions: Arc::clone(&completions),
             inbox: Arc::clone(&inbox),
-            net: Arc::clone(&net),
+            counters,
             wake_addr,
             conns: HashMap::new(),
             next_token: 0,
@@ -166,7 +182,6 @@ impl Reactor {
         Ok(Reactor {
             completions,
             inbox,
-            net,
             handle,
         })
     }
@@ -176,13 +191,6 @@ impl Reactor {
     pub fn add_connection(&self, stream: TcpStream) {
         self.inbox.conns.lock().expect("reactor inbox").push(stream);
         self.completions.signal();
-    }
-
-    /// The mailbox/metrics pair the router needs: the mailbox to build
-    /// [`ResponseSink`]s and signal shutdown, the metrics for the
-    /// `metrics` op.
-    pub fn hook(&self) -> (Arc<Completions>, Arc<NetMetrics>) {
-        (Arc::clone(&self.completions), Arc::clone(&self.net))
     }
 
     /// Hard stop (accept-loop failure): drop everything without the
@@ -243,7 +251,7 @@ struct Loop {
     router: Arc<Router>,
     completions: Arc<Completions>,
     inbox: Arc<Inbox>,
-    net: Arc<NetMetrics>,
+    counters: Arc<ShardCounters>,
     wake_addr: SocketAddr,
     conns: HashMap<u64, Conn>,
     next_token: u64,
@@ -301,7 +309,7 @@ impl Loop {
                     if waited.is_err() {
                         break;
                     }
-                    self.net.record_wakeup();
+                    self.counters.record_wakeup();
                 } else {
                     self.completions.parked.store(false, Ordering::SeqCst);
                     events.clear();
@@ -377,7 +385,7 @@ impl Loop {
             {
                 continue;
             }
-            self.net.record_open();
+            self.counters.record_open();
             self.conns.insert(
                 token,
                 Conn {
@@ -426,7 +434,7 @@ impl Loop {
                     return;
                 }
                 Ok(n) => {
-                    self.net.add_bytes_in(n as u64);
+                    self.counters.add_bytes_in(n as u64);
                     self.ingest(token, &chunk[..n]);
                     // A short read already proves the kernel buffer is
                     // drained — skip the extra read() that would only
@@ -640,7 +648,7 @@ impl Loop {
                 }
                 Ok(n) => {
                     conn.written += n;
-                    self.net.add_bytes_out(n as u64);
+                    self.counters.add_bytes_out(n as u64);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -692,7 +700,7 @@ impl Loop {
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.net.record_close();
+            self.counters.record_close();
             // `conn.stream` drops here, closing the fd after the
             // registration is gone (miniepoll safety invariant).
         }

@@ -31,8 +31,9 @@ use std::sync::{Arc, Mutex};
 
 use minijson::Json;
 
-use super::metrics::ShardReport;
+use super::metrics::{ShardLocal, ShardRow};
 use super::protocol::{self, error_response};
+use super::reactor::Completions;
 use super::worker::{Directory, ResponseSink, ShardMsg, ShardSnapshot, TaggedResponse, Worker};
 use super::ServeConfig;
 
@@ -48,18 +49,10 @@ pub(super) struct Router {
     create_cursor: Mutex<u64>,
     shutdown: AtomicBool,
     allow_shutdown: bool,
-    /// The reactors' per-shard hooks (empty until
-    /// [`Router::attach_reactors`]): each shard's completion mailbox —
-    /// signalled on shutdown so parked reactors wake and drain — and its
-    /// network counters for the `metrics` op.
-    reactors: Mutex<Vec<ReactorHook>>,
+    /// Each reactor's completion mailbox, signalled on shutdown so parked
+    /// reactors wake and drain.
+    reactors: Vec<Arc<Completions>>,
 }
-
-/// One reactor's attachment to the router; see [`Router::attach_reactors`].
-pub(super) type ReactorHook = (
-    Arc<super::reactor::Completions>,
-    Arc<super::metrics::NetMetrics>,
-);
 
 impl Router {
     /// Spawns one shard worker per state and the routing state. The
@@ -68,7 +61,13 @@ impl Router {
     /// and the round-robin create cursor are rebuilt from them (the
     /// cursor is the total count of successful creates: the `m`-th create
     /// landed on shard `m mod n`, so the count *is* the cursor).
-    pub fn new(config: &ServeConfig, states: Vec<super::protocol::ServeState>) -> Router {
+    /// `reactors` are the mailboxes of the reactors that will carry the
+    /// connections.
+    pub fn new(
+        config: &ServeConfig,
+        states: Vec<super::protocol::ServeState>,
+        reactors: Vec<Arc<Completions>>,
+    ) -> Router {
         let (restored_directory, create_cursor) = super::wal::routing_state(&states);
         let directory: Directory = Arc::new(Mutex::new(restored_directory.into_iter().collect()));
         let workers = states
@@ -82,15 +81,8 @@ impl Router {
             create_cursor: Mutex::new(create_cursor),
             shutdown: AtomicBool::new(false),
             allow_shutdown: config.allow_shutdown,
-            reactors: Mutex::new(Vec::new()),
+            reactors,
         }
-    }
-
-    /// Registers the reactors' hooks, one per shard in shard order.
-    /// Reactor `k`'s network counters appear on shard `k`'s `metrics`
-    /// row.
-    pub fn attach_reactors(&self, hooks: Vec<ReactorHook>) {
-        *self.reactors.lock().expect("reactor hooks") = hooks;
     }
 
     /// `true` once a `shutdown` request has been accepted.
@@ -147,7 +139,7 @@ impl Router {
                     .unwrap_or(0)
                 };
                 let worker = &self.workers[shard];
-                worker.metrics.record_enqueued();
+                worker.counters.record_enqueued();
                 let sent = worker.tx.send(ShardMsg::Apply {
                     request,
                     seq,
@@ -158,7 +150,7 @@ impl Router {
                     // The shard worker is gone (it panicked mid-request).
                     // Every seq must still be answered, or the writer's
                     // reorder buffer stalls the connection forever.
-                    worker.metrics.record_completed();
+                    worker.counters.record_completed();
                     let body = error_response("shard worker died", id);
                     out.send(seq, body.to_string());
                 }
@@ -172,10 +164,10 @@ impl Router {
         match op {
             "stats" => {
                 let snapshots = self.snapshots();
-                let live = snapshots.iter().map(|s| s.live).sum();
+                let live = snapshots.iter().map(|s| s.local.instances).sum();
                 let mut stats = coschedule::session::SessionStats::default();
                 for s in &snapshots {
-                    stats.merge(s.stats);
+                    stats.merge(s.local.stats);
                 }
                 out.send(seq, protocol::stats_body(live, stats).to_string());
             }
@@ -191,30 +183,18 @@ impl Router {
                 out.send(seq, protocol::solvers_body().to_string());
             }
             "metrics" => {
-                let nets: Vec<_> = {
-                    let hooks = self.reactors.lock().expect("reactor hooks");
-                    (0..self.workers.len())
-                        .map(|shard| hooks.get(shard).map(|(_, net)| net.report()))
-                        .collect()
-                };
-                let reports: Vec<ShardReport> = self
+                // Reactor `k` carries shard `k`'s network counters.
+                let reactor = !self.reactors.is_empty();
+                let rows: Vec<ShardRow> = self
                     .snapshots()
-                    .into_iter()
+                    .iter()
                     .zip(&self.workers)
-                    .zip(nets)
                     .enumerate()
-                    .map(|(shard, ((snapshot, worker), net))| ShardReport {
-                        shard,
-                        requests: worker.metrics.requests(),
-                        queue_depth: worker.metrics.queue_depth(),
-                        instances: snapshot.live,
-                        stats: snapshot.stats,
-                        wal: snapshot.wal,
-                        net,
-                        latency: snapshot.latency,
+                    .map(|(shard, (snapshot, worker))| {
+                        ShardRow::new(shard, &worker.counters, reactor, Some(&snapshot.local))
                     })
                     .collect();
-                let body = super::metrics::metrics_body(self.workers.len(), &reports);
+                let body = super::metrics::metrics_body(self.workers.len(), &rows);
                 out.send(seq, body.to_string());
             }
             "shutdown" => {
@@ -223,7 +203,7 @@ impl Router {
                     // Wake every reactor (they may be parked in
                     // epoll_wait with nothing in flight) so each can
                     // observe the flag, drain, and exit.
-                    for (completions, _) in self.reactors.lock().expect("reactor hooks").iter() {
+                    for completions in &self.reactors {
                         completions.signal();
                     }
                     protocol::shutdown_body()
@@ -308,7 +288,7 @@ impl Router {
         let shard = (*cursor % self.workers.len() as u64) as usize;
         let worker = &self.workers[shard];
         let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
-        worker.metrics.record_enqueued();
+        worker.counters.record_enqueued();
         let response = match worker.tx.send(ShardMsg::Create {
             request,
             trace,
@@ -326,12 +306,12 @@ impl Router {
                     response
                 }
                 Err(_) => {
-                    worker.metrics.record_completed();
+                    worker.counters.record_completed();
                     error_response("shard worker died", None).to_string()
                 }
             },
             Err(_) => {
-                worker.metrics.record_completed();
+                worker.counters.record_completed();
                 error_response("shard worker died", None).to_string()
             }
         };
@@ -356,11 +336,12 @@ impl Router {
             .into_iter()
             .map(|rx| {
                 rx.recv().unwrap_or(ShardSnapshot {
-                    live: 0,
-                    stats: Default::default(),
+                    local: ShardLocal {
+                        instances: 0,
+                        stats: Default::default(),
+                        wal: None,
+                    },
                     infos: Vec::new(),
-                    wal: None,
-                    latency: None,
                 })
             })
             .collect()

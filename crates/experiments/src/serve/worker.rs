@@ -19,12 +19,11 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use coschedule::session::{InstanceInfo, SessionStats};
+use coschedule::session::InstanceInfo;
 use minijson::Json;
 
-use super::metrics::{LatencyHistogram, ShardMetrics};
+use super::metrics::{ShardCounters, ShardLocal};
 use super::protocol::{self, ServeState};
-use super::wal::WalStats;
 
 /// Bound of each shard's request queue; a full queue blocks the routing
 /// reactor (backpressure) rather than buffering without limit.
@@ -109,37 +108,32 @@ pub(super) enum ShardMsg {
 /// One shard's contribution to a cross-shard `stats` / `list` / `metrics`
 /// response.
 pub(super) struct ShardSnapshot {
-    pub live: usize,
-    pub stats: SessionStats,
+    pub local: ShardLocal,
     pub infos: Vec<InstanceInfo>,
-    pub wal: Option<WalStats>,
-    pub latency: Option<LatencyHistogram>,
 }
 
 /// A running shard: its queue sender, its counters, and its thread.
 pub(super) struct Worker {
     pub tx: SyncSender<ShardMsg>,
-    pub metrics: Arc<ShardMetrics>,
+    pub counters: Arc<ShardCounters>,
     handle: JoinHandle<()>,
 }
 
 impl Worker {
     /// Spawns shard `shard` around a pre-built state — fresh (a strided
     /// session plus the serve defaults), or recovered from a durability
-    /// directory, possibly with a WAL attached. The worker's queue
-    /// counters resume at the state's request count, so the `metrics` op's
-    /// per-shard totals continue seamlessly across a restore.
+    /// directory, possibly with a WAL attached. The worker shares the
+    /// state's counters with the router.
     pub fn spawn(shard: usize, state: ServeState, directory: Directory) -> Worker {
         let (tx, rx) = std::sync::mpsc::sync_channel(QUEUE_CAPACITY);
-        let metrics = Arc::new(ShardMetrics::with_base(state.requests()));
-        let worker_metrics = Arc::clone(&metrics);
+        let counters = Arc::clone(state.counters());
         let handle = std::thread::Builder::new()
             .name(format!("cosched-shard-{shard}"))
-            .spawn(move || run(state, directory, rx, &worker_metrics))
+            .spawn(move || run(state, directory, rx))
             .expect("spawn shard worker");
         Worker {
             tx,
-            metrics,
+            counters,
             handle,
         }
     }
@@ -152,12 +146,7 @@ impl Worker {
     }
 }
 
-fn run(
-    mut state: ServeState,
-    directory: Directory,
-    rx: Receiver<ShardMsg>,
-    metrics: &ShardMetrics,
-) {
+fn run(mut state: ServeState, directory: Directory, rx: Receiver<ShardMsg>) {
     // `shutdown` never reaches a shard (the router intercepts it), so the
     // per-shard flag stays false; `allow_shutdown` is router state.
 
@@ -187,7 +176,7 @@ fn run(
                     }
                 }
                 out.send(seq, response.to_string());
-                metrics.record_completed();
+                state.counters().record_completed();
                 // Snapshot rotation happens after the reply is on its way
                 // — off the request latency path.
                 state.wal_maybe_snapshot();
@@ -206,18 +195,15 @@ fn run(
                     None
                 };
                 let _ = done.send((response.to_string(), created));
-                metrics.record_completed();
+                state.counters().record_completed();
                 state.wal_maybe_snapshot();
             }
             ShardMsg::Snapshot { done } => {
                 // Not a routed request: no completed tick (the router did
                 // not tick enqueued for it either).
                 let _ = done.send(ShardSnapshot {
-                    live: state.session().len(),
-                    stats: state.session().stats(),
+                    local: state.local_metrics(),
                     infos: state.session().list(),
-                    wal: state.wal_stats(),
-                    latency: state.latency_snapshot(),
                 });
             }
         }

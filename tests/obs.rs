@@ -12,12 +12,16 @@ mod common;
 use common::{mask_reactor_wakeups, spawn_server_with};
 use coschedule::obs;
 use coschedule::session::Session;
-use experiments::serve::metrics::{prometheus_body, LatencyHistogram, PromShard};
+use experiments::serve::metrics::{
+    http_get, lint_prometheus, prometheus_body, LatencyHistogram, ShardCounters, ShardRow,
+};
 use experiments::serve::wal::{recover_shard, WalWriter};
-use experiments::serve::{handle_line, smoke_script, Client, Durability, ServeState};
+use experiments::serve::{handle_line, smoke_script, Client, Durability, ServeState, Server};
 use minijson::Json;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Serializes the tests that flip the process-global tracing flag (and
 /// drain the process-global ring registry).
@@ -127,38 +131,21 @@ fn prometheus_body_is_well_formed() {
     for ns in [100, 1_000, 1_000, 50_000, 2_000_000, 40_000_000] {
         latency.record(ns);
     }
+    let busy = ShardCounters::with_base(6, &latency);
+    let idle = ShardCounters::default();
     let shards = [
-        PromShard {
-            shard: 0,
-            requests: 6,
-            latency,
-        },
-        PromShard {
-            shard: 1,
-            requests: 0,
-            latency: LatencyHistogram::default(),
-        },
+        ShardRow::new(0, &busy, true, None),
+        ShardRow::new(1, &idle, true, None),
     ];
     let body = prometheus_body(12.5, 2, &shards, 3);
 
-    // Every line is a HELP/TYPE comment or a parseable sample.
-    let mut samples = 0usize;
-    for line in body.lines().filter(|l| !l.is_empty()) {
-        if let Some(comment) = line.strip_prefix("# ") {
-            assert!(
-                comment.starts_with("HELP ") || comment.starts_with("TYPE "),
-                "unexpected comment: {line}"
-            );
-            continue;
-        }
-        let (metric, _value) = sample_line(line).unwrap_or_else(|| panic!("bad sample: {line}"));
-        assert!(
-            metric.starts_with("cosched_"),
-            "unprefixed metric: {metric}"
-        );
-        samples += 1;
-    }
+    // Every line is a HELP/TYPE comment or a parseable sample, and every
+    // promised family (the reactor's too, at 2 workers) is present.
+    let samples = lint_prometheus(&body).unwrap_or_else(|e| panic!("{e} in\n{body}"));
     assert!(samples > 0);
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        assert!(line.starts_with("cosched_"), "unprefixed metric: {line}");
+    }
 
     // Shard 0's histogram: 64 nondecreasing `le` buckets ending at +Inf
     // with the total count, and a matching `_count` sample.
@@ -188,6 +175,164 @@ fn prometheus_body_is_well_formed() {
     assert_eq!(sample_line(count_line).unwrap().1, 6.0);
     assert!(body.contains("cosched_trace_dropped_total 3"));
     assert!(body.contains("cosched_workers 2"));
+}
+
+/// Each counter-backed `metrics` key and the Prometheus family that
+/// exports the same per-shard counter.
+const SCRAPED_KEYS: [(&str, &str); 6] = [
+    ("requests", "cosched_requests_total"),
+    ("queue_depth", "cosched_queue_depth"),
+    ("open_connections", "cosched_open_connections"),
+    ("reactor_wakeups", "cosched_reactor_wakeups_total"),
+    ("bytes_in", "cosched_bytes_in_total"),
+    ("bytes_out", "cosched_bytes_out_total"),
+];
+
+/// The shard-row key sequence of the sequential server's `metrics` op
+/// (an answered shard, durability off).
+const SEQUENTIAL_ROW_KEYS: [&str; 19] = [
+    "shard",
+    "requests",
+    "queue_depth",
+    "instances",
+    "mutations",
+    "solves",
+    "memo_hits",
+    "incremental_solves",
+    "cold_solves",
+    "kernel_calls",
+    "apps_evaluated",
+    "tuner_explored",
+    "tuner_committed",
+    "tuner_challenger_wins",
+    "tuner_member_solves",
+    "latency_count",
+    "latency_p50_ns",
+    "latency_p95_ns",
+    "latency_p99_ns",
+];
+
+/// Parses an exposition into `name{labels}` → value.
+fn scrape_samples(body: &str) -> HashMap<String, f64> {
+    body.lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| {
+            let (metric, value) = sample_line(l).unwrap_or_else(|| panic!("bad sample: {l}"));
+            (metric.to_string(), value)
+        })
+        .collect()
+}
+
+/// One registry behind both outputs: after the smoke script (minus
+/// `shutdown`), every counter-backed value of each `metrics` shard row
+/// equals that shard's Prometheus sample, at 1 and at 4 workers. The
+/// connection carrying the `metrics` request moves its own reactor's
+/// network counters between the two reads, so only that shard's
+/// network values are exempt.
+#[test]
+fn metrics_op_and_scrape_read_one_registry() {
+    let script = smoke_script();
+    let body = &script[..script.len() - 1];
+    for workers in [1usize, 4] {
+        let mut server = Server::bind("127.0.0.1:0").expect("bind");
+        server.config_mut().allow_shutdown = true;
+        server.config_mut().workers = workers;
+        server.config_mut().metrics_addr = Some("127.0.0.1:0".to_string());
+        let addr = server.local_addr().expect("bound address");
+        let probe = server.metrics_probe();
+        let handle = std::thread::spawn(move || server.run());
+
+        let responses = Client::default().exchange(addr, body).expect("smoke");
+        assert!(responses.iter().all(|r| r.contains("\"ok\":true")));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let metrics_at = loop {
+            if let Some(at) = probe.get() {
+                break *at;
+            }
+            assert!(Instant::now() < deadline, "metrics listener never bound");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        // Wait until the script's connection is closed on the server
+        // side, so its reactor's counters are at rest.
+        loop {
+            let samples = scrape_samples(&http_get(metrics_at).expect("scrape"));
+            let open: f64 = samples
+                .iter()
+                .filter(|(k, _)| k.starts_with("cosched_open_connections{"))
+                .map(|(_, v)| v)
+                .sum();
+            if open == 0.0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "script connection never closed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        let metrics = Client::default()
+            .exchange(addr, &[r#"{"op":"metrics"}"#.to_string()])
+            .expect("metrics")
+            .remove(0);
+        let scrape = http_get(metrics_at).expect("scrape");
+        lint_prometheus(&scrape).unwrap_or_else(|e| panic!("{e} in\n{scrape}"));
+        let samples = scrape_samples(&scrape);
+        let v = Json::parse(&metrics).expect("metrics parses");
+        let rows = v.get("shards").and_then(Json::as_array).expect("shards");
+        assert_eq!(rows.len(), workers);
+
+        let mut scraped_requests = 0.0;
+        for (k, row) in rows.iter().enumerate() {
+            let value = |key: &str| row.get(key).and_then(Json::as_u64);
+            // Only the `metrics` connection is open while the row is
+            // built; its reactor's network counters keep moving.
+            let carries_metrics = value("open_connections") == Some(1);
+            let mut compared = 0;
+            for (key, family) in SCRAPED_KEYS {
+                let Some(json) = value(key) else { continue };
+                let sample = samples
+                    .get(&format!("{family}{{shard=\"{k}\"}}"))
+                    .unwrap_or_else(|| panic!("no {family} sample for shard {k}:\n{scrape}"));
+                compared += 1;
+                let network = !matches!(key, "requests" | "queue_depth");
+                if !(network && carries_metrics) {
+                    assert_eq!(
+                        json as f64, *sample,
+                        "workers={workers} shard {k}: {key} vs {family}"
+                    );
+                }
+            }
+            // The sequential server has no reactor: no network values.
+            assert_eq!(compared, if workers == 1 { 2 } else { 6 });
+            let count = samples[&format!("cosched_request_latency_seconds_count{{shard=\"{k}\"}}")];
+            assert_eq!(value("latency_count").unwrap_or(0) as f64, count);
+            scraped_requests += samples[&format!("cosched_requests_total{{shard=\"{k}\"}}")];
+        }
+        assert_eq!(
+            v.get("requests").and_then(Json::as_u64).map(|n| n as f64),
+            Some(scraped_requests)
+        );
+
+        // The wire layout of an answered shard's row, byte for byte.
+        let Json::Obj(pairs) = &rows[0] else {
+            panic!("row is not an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        let mut expected = SEQUENTIAL_ROW_KEYS.to_vec();
+        if workers > 1 {
+            let latency_at = expected.len() - 4;
+            expected.splice(
+                latency_at..latency_at,
+                [
+                    "open_connections",
+                    "reactor_wakeups",
+                    "bytes_in",
+                    "bytes_out",
+                ],
+            );
+        }
+        assert_eq!(keys, expected, "workers={workers}");
+
+        common::shutdown(addr, handle);
+    }
 }
 
 /// The dispatch-latency histogram survives `--restore`: a recovered
